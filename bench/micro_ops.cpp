@@ -46,6 +46,86 @@ BM_OuterAccum(benchmark::State& state)
 }
 BENCHMARK(BM_OuterAccum)->Arg(256);
 
+/**
+ * The interpreter's row-slice kernels at the shapes one VPP sees per
+ * instruction: rpw rows of a 256-wide matrix (state.range(0) rows,
+ * state.range(1) columns), starting past row 0 as real slices do.
+ */
+struct RowSliceData
+{
+    std::size_t rows, cols, row_begin;
+    std::vector<float> w, x, y, dy, dx;
+
+    explicit RowSliceData(const benchmark::State& state)
+        : rows(static_cast<std::size_t>(state.range(0))),
+          cols(static_cast<std::size_t>(state.range(1))), row_begin(rows)
+    {
+        common::Rng rng(7);
+        auto filled = [&](std::size_t n) {
+            std::vector<float> v(n);
+            for (float& f : v)
+                f = rng.nextFloat(-0.01f, 0.01f);
+            return v;
+        };
+        w = filled(2 * rows * cols);
+        x = filled(cols);
+        y.assign(2 * rows, 0.0f);
+        dy = filled(2 * rows);
+        dx.assign(cols, 0.0f);
+    }
+
+    void
+    count(benchmark::State& state) const
+    {
+        state.SetItemsProcessed(
+            static_cast<std::int64_t>(state.iterations()) *
+            static_cast<std::int64_t>(rows * cols));
+    }
+};
+
+void
+BM_GemvRows(benchmark::State& state)
+{
+    RowSliceData d(state);
+    for (auto _ : state) {
+        tensor::gemvRows(d.w.data(), d.x.data(), d.y.data(), d.row_begin,
+                         d.row_begin + d.rows, d.cols);
+        benchmark::DoNotOptimize(d.y.data());
+        benchmark::ClobberMemory();
+    }
+    d.count(state);
+}
+BENCHMARK(BM_GemvRows)->Args({2, 256})->Args({4, 256});
+
+void
+BM_GemvTransposedAccumRows(benchmark::State& state)
+{
+    RowSliceData d(state);
+    for (auto _ : state) {
+        tensor::gemvTransposedAccumRows(d.w.data(), d.dy.data(),
+                                        d.dx.data(), d.row_begin,
+                                        d.row_begin + d.rows, d.cols);
+        benchmark::DoNotOptimize(d.dx.data());
+        benchmark::ClobberMemory();
+    }
+    d.count(state);
+}
+BENCHMARK(BM_GemvTransposedAccumRows)->Args({2, 256})->Args({4, 256});
+
+void
+BM_OuterAccumRows(benchmark::State& state)
+{
+    RowSliceData d(state);
+    for (auto _ : state) {
+        tensor::outerAccumRows(d.w.data(), d.dy.data(), d.x.data(),
+                               d.row_begin, d.row_begin + d.rows, d.cols);
+        benchmark::DoNotOptimize(d.w.data());
+        benchmark::ClobberMemory();
+    }
+    d.count(state);
+}
+BENCHMARK(BM_OuterAccumRows)->Args({2, 256})->Args({4, 256});
+
 void
 BM_PickNegLogSoftmax(benchmark::State& state)
 {

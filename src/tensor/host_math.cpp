@@ -2,8 +2,58 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace tensor {
+
+namespace {
+
+/** Four floats in one 16-byte SIMD register (GCC/Clang vector
+ *  extension; element-wise operators, IEEE semantics per lane). */
+typedef float Float4 __attribute__((vector_size(16)));
+
+inline Float4
+load4(const float* p)
+{
+    Float4 v;
+    std::memcpy(&v, p, sizeof v); // unaligned load
+    return v;
+}
+
+inline void
+store4(float* p, Float4 v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * out[c] += a[c] * s for c in [0, n).
+ *
+ * The shared body of every accumulating row kernel. Columns are
+ * independent, so computing four at a time performs exactly the
+ * scalar loop's operations -- one rounded multiply, then one rounded
+ * add, per element -- and the results are bitwise identical to it.
+ * Nothing is reassociated and (with -ffp-contract=off) nothing is
+ * fused into an FMA.
+ */
+inline void
+axpy(float* out, const float* a, float s, std::size_t n)
+{
+    const Float4 sv = {s, s, s, s};
+    std::size_t c = 0;
+    for (; c + 8 <= n; c += 8) {
+        const Float4 lo = load4(out + c) + load4(a + c) * sv;
+        const Float4 hi = load4(out + c + 4) + load4(a + c + 4) * sv;
+        store4(out + c, lo);
+        store4(out + c + 4, hi);
+    }
+    for (; c + 4 <= n; c += 4)
+        store4(out + c, load4(out + c) + load4(a + c) * sv);
+    for (; c < n; ++c)
+        out[c] += a[c] * s;
+}
+
+} // namespace
 
 void
 gemv(const float* w, const float* x, float* y, std::size_t rows,
@@ -16,12 +66,47 @@ void
 gemvRows(const float* w, const float* x, float* y, std::size_t row_begin,
          std::size_t row_end, std::size_t cols)
 {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* wr = w + r * cols;
-        float acc = 0.0f;
+    // Rows are interleaved four (then two) at a time for instruction-
+    // level parallelism; each row still owns one accumulator summed in
+    // column order, so every y[r] is bitwise the plain dot product.
+    std::size_t r = row_begin;
+    for (; r + 4 <= row_end; r += 4) {
+        const float* w0 = w + r * cols;
+        const float* w1 = w0 + cols;
+        const float* w2 = w1 + cols;
+        const float* w3 = w2 + cols;
+        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+        for (std::size_t c = 0; c < cols; ++c) {
+            const float xc = x[c];
+            a0 += w0[c] * xc;
+            a1 += w1[c] * xc;
+            a2 += w2[c] * xc;
+            a3 += w3[c] * xc;
+        }
+        y[r] = a0;
+        y[r + 1] = a1;
+        y[r + 2] = a2;
+        y[r + 3] = a3;
+    }
+    if (r + 2 <= row_end) {
+        const float* w0 = w + r * cols;
+        const float* w1 = w0 + cols;
+        float a0 = 0.0f, a1 = 0.0f;
+        for (std::size_t c = 0; c < cols; ++c) {
+            const float xc = x[c];
+            a0 += w0[c] * xc;
+            a1 += w1[c] * xc;
+        }
+        y[r] = a0;
+        y[r + 1] = a1;
+        r += 2;
+    }
+    if (r < row_end) {
+        const float* w0 = w + r * cols;
+        float a0 = 0.0f;
         for (std::size_t c = 0; c < cols; ++c)
-            acc += wr[c] * x[c];
-        y[r] = acc;
+            a0 += w0[c] * x[c];
+        y[r] = a0;
     }
 }
 
@@ -37,12 +122,8 @@ gemvTransposedAccumRows(const float* w, const float* dy, float* dx,
                         std::size_t row_begin, std::size_t row_end,
                         std::size_t cols)
 {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* wr = w + r * cols;
-        const float d = dy[r];
-        for (std::size_t c = 0; c < cols; ++c)
-            dx[c] += wr[c] * d;
-    }
+    for (std::size_t r = row_begin; r < row_end; ++r)
+        axpy(dx, w + r * cols, dy[r], cols);
 }
 
 void
@@ -57,12 +138,8 @@ outerAccumRows(float* dw, const float* dy, const float* x,
                std::size_t row_begin, std::size_t row_end,
                std::size_t cols)
 {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        float* dwr = dw + r * cols;
-        const float d = dy[r];
-        for (std::size_t c = 0; c < cols; ++c)
-            dwr[c] += d * x[c];
-    }
+    for (std::size_t r = row_begin; r < row_end; ++r)
+        axpy(dw + r * cols, x, dy[r], cols);
 }
 
 void
@@ -76,12 +153,8 @@ gemmAccumABt(float* c, const float* a, const float* b, std::size_t m,
     for (std::size_t i = 0; i < k; ++i) {
         const float* ai = a + i * m;
         const float* bi = b + i * n;
-        for (std::size_t r = 0; r < m; ++r) {
-            float* cr = c + r * n;
-            const float ar = ai[r];
-            for (std::size_t cc = 0; cc < n; ++cc)
-                cr[cc] += ar * bi[cc];
-        }
+        for (std::size_t r = 0; r < m; ++r)
+            axpy(c + r * n, bi, ai[r], n);
     }
 }
 
@@ -100,7 +173,10 @@ addN(const float* const* ins, std::size_t n_in, float* out,
 void
 accum(float* out, const float* in, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i)
+    std::size_t i = 0;
+    for (; i + 4 <= len; i += 4)
+        store4(out + i, load4(out + i) + load4(in + i));
+    for (; i < len; ++i)
         out[i] += in[i];
 }
 

@@ -1,12 +1,19 @@
 /**
  * @file
- * Scalar math routines that serve as the functional payloads of
- * simulated kernels.
+ * Math routines that serve as the functional payloads of simulated
+ * kernels.
  *
  * Every executor (the naive baseline, the batching baselines, and the
  * VPPS script interpreter) computes through these same routines, so
  * numerical equivalence between execution strategies is exact up to
  * floating-point reassociation -- which the tests rely on.
+ *
+ * Each routine's result is bitwise that of its plain scalar loop:
+ * implementations may vectorize over independent elements and
+ * interleave independent rows, but every output element sees the same
+ * rounded operations in the same order (no reassociation, no fused
+ * multiply-add). Results are pinned across commits by
+ * tests/fingerprints.txt.
  */
 #pragma once
 

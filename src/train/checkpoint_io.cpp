@@ -36,9 +36,8 @@ malformed(std::string message)
 std::vector<std::uint8_t>
 serializeCheckpoint(const TrainCheckpoint& ckpt)
 {
-    std::vector<std::uint8_t> out;
+    std::vector<std::uint8_t> out(kMagic, kMagic + 4);
     out.reserve(kHeaderBytes + 4 * ckpt.params.size() + kDigestBytes);
-    out.insert(out.end(), kMagic, kMagic + 4);
     putU32(out, kCheckpointVersion);
     putU64(out, static_cast<std::uint64_t>(ckpt.next_input));
     putF32(out, ckpt.learning_rate);

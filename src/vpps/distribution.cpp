@@ -129,6 +129,28 @@ DistributionPlan::tryBuild(const graph::Model& model,
             }
         }
     }
+
+    // Single-writer check over the gradient copy: sort every VPP's
+    // slices of a matrix by first row; any overlap means two VPPs
+    // would write the same dW row.
+    plan.grad_single_writer_.assign(num_matrices, 0);
+    if (cache_gradients) {
+        for (graph::ParamId m : matrices) {
+            std::vector<RowSlice> all;
+            for (const auto& per_vpp : plan.slices_[1][m])
+                all.insert(all.end(), per_vpp.begin(), per_vpp.end());
+            std::sort(all.begin(), all.end(),
+                      [](const RowSlice& a, const RowSlice& b) {
+                          return a.first_row < b.first_row;
+                      });
+            bool disjoint = true;
+            for (std::size_t i = 1; i < all.size(); ++i)
+                if (all[i - 1].first_row + all[i - 1].num_rows >
+                    all[i].first_row)
+                    disjoint = false;
+            plan.grad_single_writer_[m] = disjoint ? 1 : 0;
+        }
+    }
     return plan;
 }
 

@@ -234,6 +234,19 @@ class DistributionPlan
     /** @return total rows of matrix @p m (or grad) on VPP @p vpp. */
     std::uint32_t rowsOn(int vpp, graph::ParamId m, bool gradient) const;
 
+    /**
+     * @return true when the register-cached gradient rows of matrix
+     * @p m are disjoint across VPPs, i.e. every row of dW has exactly
+     * one writing VPP (Section III-A: each VPP owns its rows of W and
+     * dW). Checked once when the plan is built; false for matrices
+     * without cached gradients.
+     */
+    bool gradRowsSingleWriter(graph::ParamId m) const
+    {
+        return m < grad_single_writer_.size() &&
+               grad_single_writer_[m] != 0;
+    }
+
     /** @return every block assignment (tests, codegen listings). */
     const std::vector<BlockAssignment>& blocks() const { return blocks_; }
 
@@ -268,6 +281,7 @@ class DistributionPlan
     std::vector<std::vector<std::vector<std::vector<RowSlice>>>> slices_;
     std::vector<std::vector<std::vector<int>>> vpps_of_;     // [g][m]
     std::vector<double> cached_weight_bytes_;                // per vpp
+    std::vector<char> grad_single_writer_;                   // per matrix
 };
 
 } // namespace vpps

@@ -13,10 +13,11 @@
  *
  * Keys fold in everything decoding and validation depend on: the
  * script's content checksum, the model's parameter count (param-id
- * immediates are range-checked against it), and the device pool
- * capacity (operand offsets are range-checked against it). Sharing
- * across replicas is therefore only a hit when the replicas really
- * are clones.
+ * immediates are range-checked against it), every parameter's
+ * gradient region (the per-matrix in-place flags are computed against
+ * them), and the device pool capacity (operand offsets are
+ * range-checked against it). Sharing across replicas is therefore
+ * only a hit when the replicas really are clones.
  */
 #pragma once
 
@@ -50,14 +51,20 @@ class ScriptCache
     /** Cache key over every decode input. @p pool_floats is the
      *  device memory capacity the operands were validated against. */
     static std::uint64_t
-    key(std::uint64_t script_checksum, std::size_t num_params,
+    key(std::uint64_t script_checksum, const graph::Model& model,
         std::size_t pool_floats)
     {
         std::uint64_t h = script_checksum;
         h ^= 0x9E3779B97F4A7C15ull *
-             (static_cast<std::uint64_t>(num_params) + 1);
+             (static_cast<std::uint64_t>(model.numParams()) + 1);
         h ^= 0xC2B2AE3D27D4EB4Full *
              (static_cast<std::uint64_t>(pool_floats) + 1);
+        for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+            const auto& p = model.param(id);
+            h = (h ^ (static_cast<std::uint64_t>(p.grad) << 32 |
+                      p.shape.size())) *
+                0x100000001B3ull;
+        }
         return h;
     }
 

@@ -61,6 +61,77 @@ struct VppSink
     }
 };
 
+/** A pool span an instruction dereferences: [offset, offset+len). */
+struct OperandSpan
+{
+    std::uint32_t offset = 0;
+    std::uint64_t len = 0;
+};
+
+/**
+ * The pool spans @p in reads or writes through its operands; @return
+ * how many were written to @p out. Matrix products must already have
+ * a valid param-id immediate. Outer's dW target is implicit (the
+ * parameter's gradient region), not an operand.
+ */
+int
+operandSpans(const DecodedInstr& in, const graph::Model& model,
+             OperandSpan (&out)[4])
+{
+    const std::uint32_t* op = in.operands;
+    auto vectors = [&](int k) {
+        for (int i = 0; i < k; ++i)
+            out[i] = {op[i], in.imm};
+        return k;
+    };
+    switch (in.op) {
+      case Opcode::MatVec:
+      case Opcode::MatVecT:
+      case Opcode::Outer: {
+        // MatVec reads x (cols) and writes y (rows); the backward
+        // products read dy (rows) and touch a cols-length vector.
+        const auto& shape = model.param(in.imm).shape;
+        const std::uint64_t rows = shape.rows();
+        const std::uint64_t cols = shape.cols();
+        const bool fwd = in.op == Opcode::MatVec;
+        out[0] = {op[0], fwd ? cols : rows};
+        out[1] = {op[1], fwd ? rows : cols};
+        return 2;
+      }
+      case Opcode::Copy:
+      case Opcode::Accum:
+      case Opcode::AccumParam:
+      case Opcode::Tanh:
+      case Opcode::Sigmoid:
+      case Opcode::Relu:
+      case Opcode::Scale:
+      case Opcode::ScaleAccum:
+      case Opcode::UpdateVec:
+        return vectors(2);
+      case Opcode::Add2:
+      case Opcode::Mul:
+      case Opcode::MulAccum:
+      case Opcode::TanhBack:
+      case Opcode::SigmoidBack:
+      case Opcode::ReluBack:
+        return vectors(3);
+      case Opcode::Add3:
+        return vectors(4);
+      case Opcode::PickNLS:
+        out[0] = {op[0], in.imm};
+        out[1] = {op[1], in.imm};
+        out[2] = {op[2], 1};
+        return 3;
+      case Opcode::PickNLSBack:
+        out[0] = {op[0], in.imm};
+        out[1] = {op[1], 1};
+        out[2] = {op[2], in.imm};
+        return 3;
+      default:
+        return 0; // Nop, Signal, Wait: no pool operands
+    }
+}
+
 } // namespace
 
 ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
@@ -87,18 +158,43 @@ ScriptExecutor::decoded(const Script& script,
     // transfer checksum uses). Identical batches generate identical
     // words, so replayed minibatches hit here and skip the whole
     // decode-and-validate pass -- across all executors sharing the
-    // cache. The model's param count and the pool capacity fold into
-    // the key because operand validation depends on both.
+    // cache. The model's parameter layout and the pool capacity fold
+    // into the key because operand validation and the in-place
+    // analysis depend on them.
     const std::uint64_t h = ScriptCache::key(
-        script.checksum(), model.numParams(),
-        device_.memory().capacity());
+        script.checksum(), model, device_.memory().capacity());
     if (auto hit = cache_->find(h))
         return hit;
 
     const auto& expected = script.expectedSignals();
     std::vector<std::uint64_t> emitted(expected.size(), 0);
 
+    // Gradient regions sorted by offset (they are pairwise disjoint),
+    // for the per-parameter in-place analysis below.
+    struct GradRegion
+    {
+        std::uint64_t begin, end;
+        graph::ParamId id;
+    };
+    std::vector<GradRegion> grads;
+    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+        const auto& p = model.param(id);
+        if (p.grad != gpusim::DeviceMemory::kNullOffset)
+            grads.push_back({p.grad, p.grad + p.shape.size(), id});
+    }
+    std::sort(grads.begin(), grads.end(),
+              [](const GradRegion& a, const GradRegion& b) {
+                  return a.begin < b.begin;
+              });
+    // Parameters are allocated before any activation, so the regions'
+    // hull rejects nearly every operand with two compares.
+    const std::uint64_t hull_begin = grads.empty() ? 0 : grads.front().begin;
+    const std::uint64_t hull_end = grads.empty() ? 0 : grads.back().end;
+
     auto prog = std::make_unique<DecodedProgram>();
+    prog->grad_exclusive.assign(model.numParams(), 0);
+    for (const GradRegion& g : grads)
+        prog->grad_exclusive[g.id] = 1;
     const int num_vpps = script.numVpps();
     prog->num_vpps = num_vpps;
     prog->streams.resize(static_cast<std::size_t>(num_vpps));
@@ -167,86 +263,46 @@ ScriptExecutor::decoded(const Script& script,
                     .withVpp(vpp)
                     .withPc(idx);
             };
-            auto span_ok = [&](std::uint32_t off, std::uint64_t len) {
-                return static_cast<std::uint64_t>(off) < cap &&
-                       static_cast<std::uint64_t>(off) + len <= cap;
+            auto span_ok = [&](const OperandSpan& sp) {
+                return static_cast<std::uint64_t>(sp.offset) < cap &&
+                       static_cast<std::uint64_t>(sp.offset) + sp.len <=
+                           cap;
             };
-            // Operands 0..k-1 are pool vectors of imm floats each.
-            auto vectors_ok = [&](int k) {
-                for (int i = 0; i < k; ++i)
-                    if (!span_ok(in.operands[i], in.imm))
-                        return false;
-                return true;
-            };
-            switch (in.op) {
-              case Opcode::MatVec:
-              case Opcode::MatVecT:
-              case Opcode::Outer: {
-                if (in.imm >= model.numParams())
-                    return fail_decode("param id out of range");
-                const auto& shape = model.param(in.imm).shape;
-                const std::uint64_t rows = shape.rows();
-                const std::uint64_t cols = shape.cols();
-                // MatVec reads x (cols) and writes y (rows); the
-                // backward products read dy (rows) and touch a
-                // cols-length vector.
-                const std::uint64_t len0 =
-                    in.op == Opcode::MatVec ? cols : rows;
-                const std::uint64_t len1 =
-                    in.op == Opcode::MatVec ? rows : cols;
-                if (!span_ok(in.operands[0], len0) ||
-                    !span_ok(in.operands[1], len1))
+            const bool pick = in.op == Opcode::PickNLS ||
+                              in.op == Opcode::PickNLSBack;
+            const bool matrix = in.op == Opcode::MatVec ||
+                                in.op == Opcode::MatVecT ||
+                                in.op == Opcode::Outer;
+            if (matrix && in.imm >= model.numParams())
+                return fail_decode("param id out of range");
+            if (pick && in.imm == 0)
+                return fail_decode("empty logits vector");
+            OperandSpan spans[4];
+            const int num_spans = operandSpans(in, model, spans);
+            for (int i = 0; i < num_spans; ++i) {
+                if (!span_ok(spans[i]))
                     return fail_decode("operand out of pool range");
-                break;
-              }
-              case Opcode::Copy:
-              case Opcode::Accum:
-              case Opcode::AccumParam:
-              case Opcode::Tanh:
-              case Opcode::Sigmoid:
-              case Opcode::Relu:
-              case Opcode::Scale:
-              case Opcode::ScaleAccum:
-              case Opcode::UpdateVec:
-                if (!vectors_ok(2))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::Add2:
-              case Opcode::Mul:
-              case Opcode::MulAccum:
-              case Opcode::TanhBack:
-              case Opcode::SigmoidBack:
-              case Opcode::ReluBack:
-                if (!vectors_ok(3))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::Add3:
-                if (!vectors_ok(4))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::PickNLS:
-                if (in.imm == 0)
-                    return fail_decode("empty logits vector");
-                if (!span_ok(in.operands[0], in.imm) ||
-                    !span_ok(in.operands[1], in.imm) ||
-                    !span_ok(in.operands[2], 1))
-                    return fail_decode("operand out of pool range");
-                if (in.operands[3] >= in.imm)
-                    return fail_decode("label out of range");
-                break;
-              case Opcode::PickNLSBack:
-                if (in.imm == 0)
-                    return fail_decode("empty logits vector");
-                if (!span_ok(in.operands[0], in.imm) ||
-                    !span_ok(in.operands[1], 1) ||
-                    !span_ok(in.operands[2], in.imm))
-                    return fail_decode("operand out of pool range");
-                if (in.operands[3] >= in.imm)
-                    return fail_decode("label out of range");
-                break;
-              default:
-                break; // Nop, Signal, Wait: no pool operands
+                // Any operand touching a gradient region (a read, or
+                // a write such as AccumParam) makes that parameter's
+                // Outer updates order-sensitive across VPPs: they
+                // stay on the deferred reduction.
+                const std::uint64_t b = spans[i].offset;
+                const std::uint64_t e = b + spans[i].len;
+                if (e <= hull_begin || b >= hull_end)
+                    continue;
+                auto it = std::upper_bound(
+                    grads.begin(), grads.end(), b,
+                    [](std::uint64_t off, const GradRegion& g) {
+                        return off < g.begin;
+                    });
+                if (it != grads.begin())
+                    --it;
+                for (; it != grads.end() && it->begin < e; ++it)
+                    if (it->end > b)
+                        prog->grad_exclusive[it->id] = 0;
             }
+            if (pick && in.operands[3] >= in.imm)
+                return fail_decode("label out of range");
 
             out.push_back(in);
             pc += 1 + n;
@@ -446,13 +502,23 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             const auto& p = model.param(imm);
             const std::uint32_t cols_u =
                 static_cast<std::uint32_t>(p.shape.cols());
+            // dW rows live in the owning VPP's registers (Section
+            // III-A): when no other VPP writes them and no other
+            // instruction touches the gradient, this VPP is their
+            // only writer and accumulates in place, in program order
+            // -- the same float additions the deferred reduction
+            // would apply, since 0 + a == a. Otherwise the update
+            // goes through scratch like every shared accumulation.
+            const bool in_place = prog.grad_exclusive[imm] != 0 &&
+                                  plan.gradRowsSingleWriter(imm);
             double rows = 0.0;
             for (const auto& s : plan.slices(vpp, imm, true)) {
-                if (func) {
-                    // dW rows are per-VPP-disjoint, but p.grad is one
-                    // shared buffer also fed by the GEMM staging /
-                    // AccumParam paths; keep the register-cached
-                    // proxy on the same deferred-reduction rule.
+                if (func && in_place) {
+                    tensor::outerAccumRows(
+                        mem.data(p.grad), mem.data(in.operands[0]),
+                        mem.data(in.operands[1]), s.first_row,
+                        s.first_row + s.num_rows, p.shape.cols());
+                } else if (func) {
                     float* scratch = sink.claim(
                         p.grad + s.first_row * cols_u,
                         s.num_rows * cols_u);
@@ -935,12 +1001,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         for (const Segment& seg : segments) {
             VppSink& sink =
                 sinks[static_cast<std::size_t>(seg.vpp)];
-            for (const PendingAccum& pa : sink.pending) {
-                float* dst = mem.data(pa.target);
-                const float* src = sink.arena.data() + pa.arena_pos;
-                for (std::uint32_t i = 0; i < pa.len; ++i)
-                    dst[i] += src[i];
-            }
+            for (const PendingAccum& pa : sink.pending)
+                tensor::accum(mem.data(pa.target),
+                              sink.arena.data() + pa.arena_pos, pa.len);
             sink.pending.clear();
             sink.arena.clear();
         }

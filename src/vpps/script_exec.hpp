@@ -20,11 +20,12 @@
  * already barrier-complete, so they execute concurrently on a worker
  * pool. Accounting (traffic, instruction counts) goes to per-VPP
  * sinks merged in VPP order, and cross-VPP accumulations (MatVecT,
- * Outer, the Accum family) are computed into per-VPP scratch and
- * applied by the scheduler in (VPP, program-order) order at the phase
- * boundary -- so results, traffic tables, and timings are bitwise
- * identical for any thread count. See DESIGN.md, "Host-parallel
- * interpretation".
+ * the Accum family) are computed into per-VPP scratch and applied by
+ * the scheduler in (VPP, program-order) order at the phase boundary
+ * -- so results, traffic tables, and timings are bitwise identical
+ * for any thread count. Outer writes dW in place when its rows have a
+ * single writer, which leaves the same bits. See DESIGN.md,
+ * "Host-parallel interpretation".
  */
 #pragma once
 
@@ -103,6 +104,15 @@ struct DecodedProgram
     std::vector<std::uint32_t> signals_per_vpp;
     /** Total decoded instructions (cache budget accounting). */
     std::size_t total_instructions = 0;
+    /**
+     * Per ParamId: 1 when no operand of any instruction overlaps the
+     * parameter's gradient region, so the only writes to it are the
+     * implicit dW targets of its Outer instructions. Together with
+     * DistributionPlan::gradRowsSingleWriter() this lets Outer
+     * accumulate straight into the gradient instead of deferring
+     * through the phase-boundary reduction (DESIGN.md section 4.4).
+     */
+    std::vector<char> grad_exclusive;
 };
 
 /** Interprets generated scripts against the simulated device. */

@@ -116,7 +116,9 @@ TEST_P(DecoderFuzzTest, MutatedGeneratedScriptsNeverAbort)
 
     graph::ComputationGraph cg;
     auto loss = train::buildSuperGraph(bm, cg, 0, 2);
-    const vpps::ScriptGenerator gen(kernel, gpusim::HostSpec{});
+    // ScriptGenerator keeps a reference to its HostSpec.
+    const gpusim::HostSpec host;
+    const vpps::ScriptGenerator gen(kernel, host);
     const auto mark = device.memory().mark();
     auto donor = gen.generate(device, bm.model(), cg, loss);
 

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "vpps/script_cache.hpp"
 #include "vpps/script_exec.hpp"
 
 namespace {
@@ -283,6 +284,132 @@ TEST(Interpreter, InstructionCountAndTimingAreReported)
     EXPECT_EQ(result.instructions, 2u);
     EXPECT_GT(result.kernel_us, rig.device.spec().kernel_launch_us);
     EXPECT_GE(result.makespan_us, result.mean_vpp_us);
+}
+
+// -- In-place Outer rule (DESIGN.md section 4.4). A matrix's dW rows
+// are accumulated in place only when the plan gives each row a single
+// writer and no other instruction touches the gradient region.
+
+/** Outcome of one run of the in-place fixture script. */
+struct OuterRun
+{
+    std::vector<float> grad;   //!< W's gradient after the run
+    std::vector<float> copied; //!< what the reader saw of dW row 2
+    bool exclusive = false;    //!< decoded grad_exclusive flag for W
+};
+
+/**
+ * Every gradient-holding VPP emits Outer for W. With @p conflict, VPP 0
+ * (ordered before every dW owner) also AccumParams into dW row 0 and
+ * the last VPP (ordered after them) copies dW row 2 out. 64 Nops on a
+ * spare VPP push the round over the parallel-dispatch threshold so
+ * @p threads > 1 really interprets concurrently.
+ */
+OuterRun
+runOuterScript(bool conflict, int threads)
+{
+    InterpRig rig;
+    auto& mem = rig.device.memory();
+    const auto& p = rig.model.param(rig.w);
+    common::Rng rng(4242);
+    float* g = mem.data(p.grad);
+    for (std::size_t i = 0; i < p.shape.size(); ++i)
+        g[i] = rng.nextFloat(-1.0f, 1.0f);
+    const auto dy = rig.vec({0.3f, -1.7f, 0.9f, 2.1f, -0.4f, 1.3f,
+                             -2.2f, 0.6f});
+    const auto x = rig.vec({1.1f, -0.7f, 0.35f, 1.9f});
+    const auto addend = rig.vec({0.123f, -0.456f, 0.789f, -0.321f});
+    const auto copied = rig.vec({0, 0, 0, 0});
+
+    auto batch = rig.fresh();
+    const int last = rig.kernel.plan.numVpps() - 1;
+    if (conflict)
+        batch.script.emit(0, vpps::Opcode::AccumParam, 4,
+                          {p.grad, addend});
+    for (int vpp : rig.kernel.plan.vppsOf(rig.w, true))
+        batch.script.emit(vpp, vpps::Opcode::Outer, rig.w, {dy, x});
+    if (conflict)
+        batch.script.emit(last, vpps::Opcode::Copy, 4,
+                          {copied, p.grad + 8});
+    for (int i = 0; i < 64; ++i)
+        batch.script.emit(last - 1, vpps::Opcode::Nop, 0, {});
+    batch.loss_node = rig.loss_node;
+    batch.script.seal();
+
+    // Gradient-only: the epilogue's SGD step would zero dW.
+    vpps::ScriptCache cache;
+    vpps::ScriptExecutor executor(rig.device, threads, &cache);
+    EXPECT_TRUE(
+        executor.run(rig.kernel, batch, rig.model, rig.cg, false).ok());
+    OuterRun out;
+    out.grad.assign(g, g + p.shape.size());
+    out.copied.assign(rig.at(copied), rig.at(copied) + 4);
+    const auto prog = cache.find(vpps::ScriptCache::key(
+        batch.script.checksum(), rig.model, mem.capacity()));
+    EXPECT_NE(prog, nullptr);
+    if (prog)
+        out.exclusive = prog->grad_exclusive[rig.w] != 0;
+    return out;
+}
+
+bool
+sameBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(InterpreterInPlaceOuter, PlanGivesEveryGradRowOneWriter)
+{
+    InterpRig rig;
+    ASSERT_TRUE(rig.kernel.plan.gradientsCached());
+    EXPECT_TRUE(rig.kernel.plan.gradRowsSingleWriter(rig.w));
+    // Two owners at least, or the single-writer rule is vacuous here.
+    EXPECT_GE(rig.kernel.plan.vppsOf(rig.w, true).size(), 2u);
+}
+
+TEST(InterpreterInPlaceOuter, ExclusiveGradientIsWrittenInPlace)
+{
+    const OuterRun one = runOuterScript(false, 1);
+    const OuterRun eight = runOuterScript(false, 8);
+    EXPECT_TRUE(one.exclusive);
+    EXPECT_TRUE(sameBits(one.grad, eight.grad));
+}
+
+TEST(InterpreterInPlaceOuter, TouchedGradientStaysDeferred)
+{
+    const OuterRun one = runOuterScript(true, 1);
+    const OuterRun eight = runOuterScript(true, 8);
+    EXPECT_FALSE(one.exclusive)
+        << "AccumParam/Copy operands overlap W's gradient";
+    EXPECT_TRUE(sameBits(one.grad, eight.grad));
+    EXPECT_TRUE(sameBits(one.copied, eight.copied));
+
+    // Deferred semantics, recomputed by hand: the reader sees dW as it
+    // was when the phase began, and the phase-boundary reduction adds
+    // the contributions in VPP order -- VPP 0's AccumParam onto row 0
+    // before its owner's Outer. In-place Outer would add them the
+    // other way round and let the reader see the update.
+    const OuterRun clean = runOuterScript(false, 1);
+    common::Rng rng(4242); // the fixture's initial dW
+    std::vector<float> g0(32);
+    for (float& v : g0)
+        v = rng.nextFloat(-1.0f, 1.0f);
+    const float addend[4] = {0.123f, -0.456f, 0.789f, -0.321f};
+    std::vector<float> deferred = clean.grad;
+    const float x[4] = {1.1f, -0.7f, 0.35f, 1.9f};
+    bool orders_differ = false;
+    for (int c = 0; c < 4; ++c) {
+        const float dyx = 0.3f * x[c]; // row 0's Outer term, dy[0] * x
+        deferred[c] = (g0[c] + addend[c]) + dyx;
+        orders_differ |= deferred[c] != (g0[c] + dyx) + addend[c];
+    }
+    ASSERT_TRUE(orders_differ)
+        << "fixture data must make the two orders distinguishable";
+    EXPECT_TRUE(sameBits(one.grad, deferred));
+    EXPECT_TRUE(sameBits(one.copied,
+                         std::vector<float>(g0.begin() + 8,
+                                            g0.begin() + 12)));
 }
 
 } // namespace

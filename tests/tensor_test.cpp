@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -132,6 +134,15 @@ struct ActivationCase
     void (*bwd)(const float*, const float*, float*, std::size_t);
 };
 
+/** Without this, gtest prints the case as its raw bytes, which hold
+ *  load-address-dependent pointers and so change the listed test name
+ *  from run to run. */
+void
+PrintTo(const ActivationCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class ActivationGradientTest
     : public testing::TestWithParam<ActivationCase>
 {
@@ -240,6 +251,159 @@ TEST(HostMath, AddNAndAccum)
     EXPECT_FLOAT_EQ(out[0], 111.0f);
     tensor::accum(out.data(), a.data(), 2);
     EXPECT_FLOAT_EQ(out[0], 112.0f);
+}
+
+// -- Bit-exactness of the vectorized row kernels. Each reference below
+// is the plain scalar definition of its kernel; the kernels may
+// vectorize over columns and interleave rows, but must perform the
+// very same float operations in the same order per output element.
+
+void
+refGemvRows(const float* w, const float* x, float* y, std::size_t rb,
+            std::size_t re, std::size_t cols)
+{
+    for (std::size_t r = rb; r < re; ++r) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < cols; ++c)
+            acc += w[r * cols + c] * x[c];
+        y[r] = acc;
+    }
+}
+
+void
+refGemvTRows(const float* w, const float* dy, float* dx, std::size_t rb,
+             std::size_t re, std::size_t cols)
+{
+    for (std::size_t r = rb; r < re; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            dx[c] += w[r * cols + c] * dy[r];
+}
+
+void
+refOuterRows(float* dw, const float* dy, const float* x, std::size_t rb,
+             std::size_t re, std::size_t cols)
+{
+    for (std::size_t r = rb; r < re; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            dw[r * cols + c] += dy[r] * x[c];
+}
+
+void
+refGemmABt(float* c, const float* a, const float* b, std::size_t m,
+           std::size_t n, std::size_t k)
+{
+    for (std::size_t i = 0; i < k; ++i)
+        for (std::size_t r = 0; r < m; ++r)
+            for (std::size_t cc = 0; cc < n; ++cc)
+                c[r * n + cc] += a[i * m + r] * b[i * n + cc];
+}
+
+/** Bitwise equality (distinguishes -0/+0 and NaN payloads). */
+bool
+sameBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                0);
+}
+
+/** Odd column counts straddle every vector-width boundary; 0 and 1
+ *  exercise the pure-tail paths. */
+constexpr std::size_t kBitExactCols[] = {0, 1, 3, 7, 8, 9, 255, 256, 257};
+constexpr std::size_t kBitExactRows[] = {1, 2, 3, 5, 7};
+
+TEST(HostMathBitExact, RowKernelsMatchScalarReference)
+{
+    common::Rng rng(20260);
+    for (const std::size_t cols : kBitExactCols) {
+        for (const std::size_t rows : kBitExactRows) {
+            // Slices start past row 0 and stop short of the last row,
+            // as a VPP's rows do; the buffers are sized exactly so an
+            // over-read in a vector tail trips ASan.
+            const std::size_t rb = 3, re = rb + rows, total = re + 2;
+            const auto w = randomVec(rng, total * cols);
+            const auto x = randomVec(rng, cols);
+            const auto dy = randomVec(rng, total);
+            SCOPED_TRACE(testing::Message()
+                         << rows << " rows x " << cols << " cols");
+
+            auto y = randomVec(rng, total), y_ref = y;
+            tensor::gemvRows(w.data(), x.data(), y.data(), rb, re, cols);
+            refGemvRows(w.data(), x.data(), y_ref.data(), rb, re, cols);
+            EXPECT_TRUE(sameBits(y, y_ref)) << "gemvRows";
+
+            auto dx = randomVec(rng, cols), dx_ref = dx;
+            tensor::gemvTransposedAccumRows(w.data(), dy.data(),
+                                            dx.data(), rb, re, cols);
+            refGemvTRows(w.data(), dy.data(), dx_ref.data(), rb, re,
+                         cols);
+            EXPECT_TRUE(sameBits(dx, dx_ref)) << "gemvTransposedAccumRows";
+
+            auto dw = randomVec(rng, total * cols), dw_ref = dw;
+            tensor::outerAccumRows(dw.data(), dy.data(), x.data(), rb, re,
+                                   cols);
+            refOuterRows(dw_ref.data(), dy.data(), x.data(), rb, re,
+                         cols);
+            EXPECT_TRUE(sameBits(dw, dw_ref)) << "outerAccumRows";
+        }
+    }
+}
+
+TEST(HostMathBitExact, UnalignedPointersMatchScalarReference)
+{
+    // Pool offsets are float-granular, so kernels see pointers at any
+    // 4-byte alignment: shift every buffer by one float.
+    common::Rng rng(20261);
+    const std::size_t rows = 5, cols = 257, rb = 1, re = rb + rows;
+    const auto w = randomVec(rng, (re + 1) * cols + 1);
+    const auto x = randomVec(rng, cols + 1);
+    const auto dy = randomVec(rng, re + 2);
+    auto dw = randomVec(rng, re * cols + 1), dw_ref = dw;
+    tensor::outerAccumRows(dw.data() + 1, dy.data() + 1, x.data() + 1,
+                           rb, re, cols);
+    refOuterRows(dw_ref.data() + 1, dy.data() + 1, x.data() + 1, rb, re,
+                 cols);
+    EXPECT_TRUE(sameBits(dw, dw_ref));
+    auto dx = randomVec(rng, cols + 1), dx_ref = dx;
+    tensor::gemvTransposedAccumRows(w.data() + 1, dy.data() + 1,
+                                    dx.data() + 1, rb, re, cols);
+    refGemvTRows(w.data() + 1, dy.data() + 1, dx_ref.data() + 1, rb, re,
+                 cols);
+    EXPECT_TRUE(sameBits(dx, dx_ref));
+}
+
+TEST(HostMathBitExact, GemmAccumABtMatchesScalarReference)
+{
+    common::Rng rng(20262);
+    for (const std::size_t n : kBitExactCols) {
+        for (const std::size_t m : {1u, 3u, 7u}) {
+            for (const std::size_t k : {1u, 2u, 5u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "m " << m << " n " << n << " k " << k);
+                const auto a = randomVec(rng, m * k);
+                const auto b = randomVec(rng, n * k);
+                auto c = randomVec(rng, m * n), c_ref = c;
+                tensor::gemmAccumABt(c.data(), a.data(), b.data(), m, n,
+                                     k);
+                refGemmABt(c_ref.data(), a.data(), b.data(), m, n, k);
+                EXPECT_TRUE(sameBits(c, c_ref));
+            }
+        }
+    }
+}
+
+TEST(HostMathBitExact, AccumMatchesScalarReference)
+{
+    common::Rng rng(20263);
+    for (const std::size_t len : kBitExactCols) {
+        const auto in = randomVec(rng, len);
+        auto out = randomVec(rng, len), out_ref = out;
+        tensor::accum(out.data(), in.data(), len);
+        for (std::size_t i = 0; i < len; ++i)
+            out_ref[i] += in[i];
+        EXPECT_TRUE(sameBits(out, out_ref)) << len << " floats";
+    }
 }
 
 TEST(TensorRef, ViewsIntoPool)
