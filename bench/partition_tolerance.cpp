@@ -85,7 +85,7 @@ main(int argc, char** argv)
         serve::exploreLinkDownPoints(cfg);
     for (const auto& f : sweep.failures) {
         std::cerr << "partition_tolerance: down_at_us="
-                  << f.down_at_us << " violated:\n";
+                  << f.point << " violated:\n";
         extraViolations(f.violations);
     }
     ok = ok && sweep.passed();

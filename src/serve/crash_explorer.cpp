@@ -1,111 +1,29 @@
-/** @file Crash-point exploration: scenario, sweep, bisection. */
+/** @file Crash-point exploration: the durable fleet scenario. */
 #include "serve/crash_explorer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <optional>
 
-#include "common/logging.hpp"
-#include "common/rng.hpp"
-#include "data/treebank.hpp"
-#include "data/vocab.hpp"
 #include "durable/stable_store.hpp"
-#include "models/tree_lstm.hpp"
-#include "serve/arrival.hpp"
-#include "serve/fleet.hpp"
-#include "vpps/handle.hpp"
 
 namespace serve {
 
 namespace {
 
-vpps::VppsOptions
-rigOpts(int host_threads)
-{
-    vpps::VppsOptions opts;
-    opts.rpw = 2;
-    opts.async = false;
-    opts.degrade_on_failure = false;
-    opts.host_threads = host_threads;
-    opts.max_relaunch_attempts = 2;
-    return opts;
-}
-
-/** One replica built from fixed seeds: every Rig in every run holds
- *  bitwise-identical parameters and dataset, which is what makes a
- *  recovered fleet's completions comparable to the baseline's. */
-struct Rig
-{
-    gpusim::Device device{gpusim::DeviceSpec{}, 48u << 20};
-    common::Rng data_rng{121};
-    data::Vocab vocab{300, 10000};
-    data::Treebank bank{vocab, 8, data_rng, 7.0, 4, 10};
-    common::Rng param_rng{122};
-    std::unique_ptr<models::TreeLstmModel> bm;
-    std::unique_ptr<vpps::Handle> handle;
-
-    explicit Rig(int host_threads)
-    {
-        // An inherited soak environment must not perturb the
-        // deterministic scenario.
-        unsetenv("VPPS_FAULT_RATE");
-        unsetenv("VPPS_FAULT_SEED");
-        bm = std::make_unique<models::TreeLstmModel>(
-            bank, vocab, 16, 32, device, param_rng);
-        handle = std::make_unique<vpps::Handle>(
-            bm->model(), device, rigOpts(host_threads));
-    }
-
-    FleetReplica
-    slot(const char* name)
-    {
-        return FleetReplica{name, &device, bm.get(), handle.get()};
-    }
-};
-
-/** What one fleet run (or run fragment) produced. */
-struct ScenarioRun
-{
-    std::map<std::uint64_t, std::uint32_t> responses; //!< id -> bits
-    bool duplicate_completion = false;
-    FleetCounters counters;
-    std::uint64_t events = 0;
-    std::uint64_t consumed = 0;
-    std::uint64_t generation = 0;
-    std::size_t resumed_from = 0; //!< arrival index the leg started at
-    bool crashed = false;
-    bool reconciled = false;
-    std::optional<RecoveryInfo> recovery;
-};
-
 durable::StorePlan
 storePlan(const CrashExplorerConfig& cfg)
 {
-    durable::StorePlan plan;
-    plan.seed = cfg.store_seed;
-    plan.torn_write_rate = cfg.torn_write_rate;
-    plan.short_write_rate = cfg.short_write_rate;
-    return plan;
+    return {.seed = cfg.store_seed,
+            .torn_write_rate = cfg.torn_write_rate,
+            .short_write_rate = cfg.short_write_rate};
 }
 
 FleetConfig
 fleetConfig(const CrashExplorerConfig& cfg,
             durable::StableStore& store, long long crash_at)
 {
-    FleetConfig fc;
-    // Generous admission: every arrival must admit (and, with the
-    // effectively unbounded deadlines below, complete) so the
-    // completion set is exactly the arrival set and the bitwise
-    // comparison against the baseline is total.
-    fc.admission.queue_capacity = cfg.n_requests + 8;
-    fc.admission.shrink_watermark = cfg.n_requests + 8;
-    fc.admission.shed_watermark = cfg.n_requests + 8;
+    FleetConfig fc = rigFleetConfig(cfg.n_requests, cfg.host_threads);
     fc.max_failovers_high = 2;
     fc.max_failovers_low = 1;
-    fc.standby_opts = rigOpts(cfg.host_threads);
     fc.durability.store = &store;
     fc.durability.dir = "fleet";
     fc.durability.wal_sync_batch = cfg.wal_sync_batch;
@@ -142,136 +60,43 @@ runScenario(const CrashExplorerConfig& cfg,
     fleet.run(std::vector<Request>(
         arrivals.begin() + static_cast<std::ptrdiff_t>(from),
         arrivals.end()));
-
-    ScenarioRun out;
-    out.crashed = fleet.crashed();
-    out.events = fleet.eventsProcessed();
-    out.consumed = fleet.arrivalsConsumed();
-    out.generation = fleet.generation();
+    ScenarioRun out = collect(fleet);
     out.resumed_from = from;
-    out.counters = fleet.counters();
-    out.reconciled = fleet.counters().reconciled();
-    out.recovery = fleet.recovery();
-    for (const auto& [id, v] : fleet.responses()) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v, 4);
-        if (!out.responses.emplace(id, bits).second)
-            out.duplicate_completion = true;
-    }
     return out;
 }
 
-std::vector<Request>
-buildArrivals(const CrashExplorerConfig& cfg, double req_us,
-              std::size_t dataset_size)
-{
-    ArrivalConfig ac;
-    // Mild overload of the two-replica fleet so crashes catch
-    // requests queued and in flight, not just idle boundaries.
-    ac.rate_per_sec = 1.5 * 2.0e6 / req_us;
-    ac.count = cfg.n_requests;
-    // Deadlines must absorb a full recovery (store replay plus a
-    // re-JIT measured in simulated seconds), so they are effectively
-    // unbounded; the explorer's contract is completion-set equality,
-    // not latency.
-    ac.deadline_slack_us = 1.0e9;
-    ac.low_deadline_slack_us = 1.0e9;
-    ac.low_fraction = cfg.low_fraction;
-    ac.seed = 5;
-    return generateOpenLoopArrivals(ac, req_us, dataset_size);
-}
-
-/** Everything one sweep shares: the arrival trace and the no-crash
- *  ground truth. */
-struct Context
-{
-    CrashExplorerConfig cfg;
-    std::vector<Request> arrivals;
-    ScenarioRun baseline;
-};
-
-Context
+FaultContext
 makeContext(const CrashExplorerConfig& cfg)
 {
-    Context ctx;
-    ctx.cfg = cfg;
-    {
-        Rig sizing(cfg.host_threads);
-        graph::ComputationGraph cg;
-        auto loss = sizing.bm->buildLoss(cg, 0);
-        const double before = sizing.handle->stats().wall_us;
-        auto res =
-            sizing.handle->inferTry(sizing.bm->model(), cg, loss);
-        const double req_us = std::max(
-            1.0, sizing.handle->stats().wall_us - before);
-        if (!res.ok())
-            common::panic("crash explorer: sizing probe failed: ",
-                          res.takeStatus().toString());
-        ctx.arrivals =
-            buildArrivals(cfg, req_us, sizing.bm->datasetSize());
-    }
+    FaultContext ctx{buildArrivals(cfg.host_threads, cfg.n_requests,
+                                   cfg.low_fraction),
+                     {}};
     durable::StableStore store(storePlan(cfg));
     ctx.baseline = runScenario(cfg, store, -1, ctx.arrivals);
     return ctx;
 }
 
-void
-compareToBaseline(const Context& ctx, const ScenarioRun& run,
-                  std::uint64_t k, std::vector<std::string>& out)
+std::string
+crashLabel(std::uint64_t k)
 {
-    const auto at = [&](const std::string& what) {
-        return what + " (crash at event " + std::to_string(k) + ")";
-    };
-    if (!run.reconciled)
-        out.push_back(at("counters failed to reconcile"));
-    if (run.duplicate_completion)
-        out.push_back(at("a request id completed twice"));
-    const FleetCounters& c = run.counters;
-    if (c.admitted_high != c.completed_high || c.timed_out_high != 0 ||
-        c.failed_high != 0)
-        out.push_back(at("an admitted High-class request was lost"));
-    if (run.responses.size() != ctx.baseline.responses.size())
-        out.push_back(
-            at("completion count differs from the no-crash run: " +
-               std::to_string(run.responses.size()) + " vs " +
-               std::to_string(ctx.baseline.responses.size())));
-    for (const auto& [id, bits] : ctx.baseline.responses) {
-        const auto it = run.responses.find(id);
-        if (it == run.responses.end()) {
-            out.push_back(at("request " + std::to_string(id) +
-                             " completed in the no-crash run but "
-                             "not after recovery"));
-        } else if (it->second != bits) {
-            out.push_back(at("request " + std::to_string(id) +
-                             " response bits diverged from the "
-                             "no-crash run"));
-        }
-    }
-    for (const auto& [id, bits] : run.responses)
-        if (ctx.baseline.responses.find(id) ==
-            ctx.baseline.responses.end())
-            out.push_back(at("request " + std::to_string(id) +
-                             " completed after recovery but not in "
-                             "the no-crash run"));
+    return "crash at event " + std::to_string(k);
 }
 
 std::vector<std::string>
-checkPoint(const Context& ctx, std::uint64_t k)
+checkPoint(const CrashExplorerConfig& cfg, const FaultContext& ctx,
+           std::uint64_t k)
 {
     std::vector<std::string> violations;
-    durable::StableStore store(storePlan(ctx.cfg));
-    const ScenarioRun pre = runScenario(
-        ctx.cfg, store, static_cast<long long>(k), ctx.arrivals);
-    if (!pre.crashed) {
-        // The run finished before boundary k; it must simply match
-        // the baseline (and serves as a determinism cross-check).
-        compareToBaseline(ctx, pre, k, violations);
-        return violations;
+    durable::StableStore store(storePlan(cfg));
+    ScenarioRun run = runScenario(cfg, store, static_cast<long long>(k),
+                                  ctx.arrivals);
+    // A run that finished before boundary k must simply match the
+    // baseline (and serves as a determinism cross-check).
+    if (run.crashed) {
+        store.restart();
+        run = runScenario(cfg, store, -1, ctx.arrivals);
     }
-    store.restart();
-    const ScenarioRun post =
-        runScenario(ctx.cfg, store, -1, ctx.arrivals);
-    compareToBaseline(ctx, post, k, violations);
+    compareToBaseline(ctx.baseline, run, crashLabel(k), violations);
     return violations;
 }
 
@@ -281,80 +106,25 @@ std::vector<std::string>
 checkCrashPoint(const CrashExplorerConfig& cfg,
                 std::uint64_t crash_event)
 {
-    return checkPoint(makeContext(cfg), crash_event);
+    return checkPoint(cfg, makeContext(cfg), crash_event);
 }
 
 CrashExploreReport
 exploreCrashPoints(const CrashExplorerConfig& cfg)
 {
-    const Context ctx = makeContext(cfg);
-    CrashExploreReport rep;
-    rep.baseline_events = ctx.baseline.events;
-    rep.baseline_completed = ctx.baseline.counters.completed;
-
-    // Stratified sweep over [0, E]: evenly spaced boundaries,
-    // endpoints included (a crash before the first event, and one
-    // after the last).
-    const std::uint64_t E = ctx.baseline.events;
-    std::vector<std::uint64_t> points;
-    const std::size_t budget =
-        cfg.max_points == 0
-            ? static_cast<std::size_t>(E) + 1
-            : std::min<std::size_t>(cfg.max_points,
-                                    static_cast<std::size_t>(E) + 1);
-    for (std::size_t i = 0; i < budget; ++i) {
-        const std::uint64_t k =
-            budget == 1 ? 0
-                        : (E * static_cast<std::uint64_t>(i)) /
-                              static_cast<std::uint64_t>(budget - 1);
-        if (points.empty() || points.back() != k)
-            points.push_back(k);
-    }
-
-    for (const std::uint64_t k : points) {
-        rep.points_tested.push_back(k);
-        auto v = checkPoint(ctx, k);
-        if (!v.empty())
-            rep.failures.push_back(CrashPointResult{k, std::move(v)});
-    }
-
-    if (!rep.failures.empty()) {
-        // Bisection shrink: narrow the first failure against the
-        // nearest passing boundary below it.
-        std::uint64_t bad = rep.failures.front().crash_event;
-        std::uint64_t good = 0;
-        bool have_good = false;
-        for (const std::uint64_t k : points) {
-            if (k >= bad)
-                break;
-            bool failed = false;
-            for (const auto& f : rep.failures)
-                failed = failed || f.crash_event == k;
-            if (!failed) {
-                good = k;
-                have_good = true;
-            }
-        }
-        if (cfg.bisect && have_good) {
-            while (bad - good > 1) {
-                const std::uint64_t mid = good + (bad - good) / 2;
-                rep.points_tested.push_back(mid);
-                if (!checkPoint(ctx, mid).empty())
-                    bad = mid;
-                else
-                    good = mid;
-            }
-        }
-        rep.min_failing_event = bad;
-    }
-    return rep;
+    const FaultContext ctx = makeContext(cfg);
+    return CrashExploreReport{
+        sweepFaultPoints(
+            ctx.baseline.events, cfg.max_points, cfg.bisect,
+            [&](std::uint64_t k) { return checkPoint(cfg, ctx, k); }),
+        ctx.baseline.events, ctx.baseline.counters.completed};
 }
 
 RecoveryMeasurement
 measureRecovery(const CrashExplorerConfig& cfg,
                 double crash_fraction)
 {
-    const Context ctx = makeContext(cfg);
+    const FaultContext ctx = makeContext(cfg);
     RecoveryMeasurement m;
     m.baseline_events = ctx.baseline.events;
     const double f =
@@ -368,30 +138,29 @@ measureRecovery(const CrashExplorerConfig& cfg,
                     ctx.arrivals);
     m.wal_syncs = store.stats().syncs;
     m.checkpoints = pre.generation;
-    if (!pre.crashed) {
-        // Boundary landed past the run's end under this config's
-        // durability timing; nothing to recover, just validate.
-        m.completed = pre.counters.completed;
-        compareToBaseline(ctx, pre, m.crash_event, m.violations);
-        return m;
+    // A boundary past the run's end under this config's durability
+    // timing leaves nothing to recover; the run is just validated.
+    ScenarioRun run = pre;
+    if (pre.crashed) {
+        store.restart();
+        run = runScenario(cfg, store, -1, ctx.arrivals);
+        if (run.recovery.has_value()) {
+            m.recovery_us = run.recovery->recovery_us;
+            m.re_jit_us = run.recovery->re_jit_us;
+            m.replayed_records = run.recovery->replayed_records;
+            m.in_doubt = run.recovery->in_doubt;
+        }
+        // Arrivals the crashed instance consumed in memory whose
+        // admit records never became durable: the source re-delivers
+        // them.
+        m.redelivered_arrivals =
+            pre.consumed > run.resumed_from
+                ? pre.consumed - run.resumed_from
+                : 0;
     }
-
-    store.restart();
-    const ScenarioRun post = runScenario(cfg, store, -1, ctx.arrivals);
-    if (post.recovery.has_value()) {
-        m.recovery_us = post.recovery->recovery_us;
-        m.re_jit_us = post.recovery->re_jit_us;
-        m.replayed_records = post.recovery->replayed_records;
-        m.in_doubt = post.recovery->in_doubt;
-    }
-    // Arrivals the crashed instance consumed in memory whose admit
-    // records never became durable: the source re-delivers them.
-    m.redelivered_arrivals =
-        pre.consumed > post.resumed_from
-            ? pre.consumed - post.resumed_from
-            : 0;
-    m.completed = post.counters.completed;
-    compareToBaseline(ctx, post, m.crash_event, m.violations);
+    m.completed = run.counters.completed;
+    compareToBaseline(ctx.baseline, run, crashLabel(m.crash_event),
+                      m.violations);
     return m;
 }
 

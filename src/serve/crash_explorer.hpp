@@ -17,16 +17,18 @@
  *     FleetCounters identities hold on the recovered fleet).
  *
  * Everything is simulated and seeded, so a crash point is a plain
- * integer and a violation replays exactly. Exploration is a
- * stratified sweep over [0, E] (budgeted), and any violation is
- * shrunk by bisection against the nearest passing point below it to
- * a minimal failing boundary for the report.
+ * integer and a violation replays exactly. Exploration is the shared
+ * fault-point sweep (serve/fault_explorer.hpp) over [0, E]: a
+ * budgeted stratified sweep whose first violation is shrunk by
+ * bisection to a minimal failing boundary.
  */
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "serve/fault_explorer.hpp"
 
 namespace serve {
 
@@ -69,33 +71,14 @@ struct CrashExplorerConfig
     bool bisect = true;
 };
 
-/** One explored crash point that violated an invariant. */
-struct CrashPointResult
+/** The crash sweep: points are event boundaries in [0, E]. */
+struct CrashExploreReport : FaultSweep
 {
-    std::uint64_t crash_event = 0;
-    std::vector<std::string> violations;
-};
-
-struct CrashExploreReport
-{
-    /** Event count of the no-crash run (the sweep domain is
-     *  [0, baseline_events]). */
+    /** Event count E of the no-crash run. */
     std::uint64_t baseline_events = 0;
 
     /** Completions in the no-crash run. */
     std::uint64_t baseline_completed = 0;
-
-    /** Crash boundaries actually tested. */
-    std::vector<std::uint64_t> points_tested;
-
-    /** Every failing point, in sweep order (empty = contract holds). */
-    std::vector<CrashPointResult> failures;
-
-    /** Smallest failing boundary after bisection shrink (only
-     *  meaningful when failures is non-empty). */
-    std::uint64_t min_failing_event = 0;
-
-    bool passed() const { return failures.empty(); }
 };
 
 /**

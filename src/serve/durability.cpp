@@ -1,6 +1,8 @@
 /** @file Serving durability wire formats (journal + fleet state). */
 #include "serve/durability.hpp"
 
+#include <cstring>
+
 #include "common/wire.hpp"
 
 namespace serve {
@@ -129,6 +131,47 @@ decodeOutcome(const std::vector<std::uint8_t>& payload)
     o.cls = static_cast<RequestClass>(p[9]);
     o.response_bits = getU32(p + 10);
     o.latency_us = getF64(p + 14);
+    return o;
+}
+
+JournalAdmit
+admitRecord(const Request& req, AdmissionController::Decision dec)
+{
+    JournalAdmit a;
+    a.id = req.id;
+    a.cls = req.cls;
+    switch (dec) {
+    case AdmissionController::Decision::Admit:
+        a.decision = JournalDecision::Admit;
+        break;
+    case AdmissionController::Decision::RejectQueueFull:
+        a.decision = JournalDecision::RejectQueueFull;
+        break;
+    case AdmissionController::Decision::RejectInfeasible:
+        a.decision = JournalDecision::RejectInfeasible;
+        break;
+    case AdmissionController::Decision::Shed:
+        a.decision = JournalDecision::Shed;
+        break;
+    }
+    a.input_index = static_cast<std::uint64_t>(req.input_index);
+    a.arrival_us = req.arrival_us;
+    a.deadline_us = req.deadline_us;
+    return a;
+}
+
+JournalOutcome
+outcomeRecord(const Request& req, Outcome outcome, float response,
+              double latency)
+{
+    JournalOutcome o;
+    o.id = req.id;
+    o.outcome = outcome;
+    o.cls = req.cls;
+    if (outcome == Outcome::Completed) {
+        std::memcpy(&o.response_bits, &response, 4);
+        o.latency_us = latency;
+    }
     return o;
 }
 

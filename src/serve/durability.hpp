@@ -87,6 +87,15 @@ std::vector<std::uint8_t> encodeOutcome(const JournalOutcome& o);
 common::Result<JournalOutcome>
 decodeOutcome(const std::vector<std::uint8_t>& payload);
 
+/** The admit record of @p req under admission decision @p dec. */
+JournalAdmit admitRecord(const Request& req,
+                         AdmissionController::Decision dec);
+
+/** The outcome record of @p req; only a completed request carries
+ *  its response bits and latency. */
+JournalOutcome outcomeRecord(const Request& req, Outcome outcome,
+                             float response, double latency);
+
 /** Expected value of the fleet checkpoint magic ("VPFC"). */
 inline constexpr std::uint32_t kFleetStateMagic = 0x43465056u;
 

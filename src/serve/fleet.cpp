@@ -1057,27 +1057,8 @@ Fleet::journalAdmit(const Request& req,
     if (!wal_)
         return;
     const double sim_before = cfg_.durability.store->stats().sim_us;
-    JournalAdmit a;
-    a.id = req.id;
-    a.cls = req.cls;
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        a.decision = JournalDecision::Admit;
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        a.decision = JournalDecision::RejectQueueFull;
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        a.decision = JournalDecision::RejectInfeasible;
-        break;
-    case AdmissionController::Decision::Shed:
-        a.decision = JournalDecision::Shed;
-        break;
-    }
-    a.input_index = static_cast<std::uint64_t>(req.input_index);
-    a.arrival_us = req.arrival_us;
-    a.deadline_us = req.deadline_us;
-    if (auto st = wal_->append(kJournalAdmitType, encodeAdmit(a));
+    if (auto st = wal_->append(kJournalAdmitType,
+                               encodeAdmit(admitRecord(req, dec)));
         !st.ok())
         common::warn("Fleet: admit journal append failed: ",
                      st.toString());
@@ -1098,15 +1079,10 @@ Fleet::journalOutcome(const Queued& q, Outcome outcome,
     if (!wal_)
         return;
     const double sim_before = cfg_.durability.store->stats().sim_us;
-    JournalOutcome o;
-    o.id = q.req.id;
-    o.outcome = outcome;
-    o.cls = q.req.cls;
-    if (outcome == Outcome::Completed) {
-        std::memcpy(&o.response_bits, &response, 4);
-        o.latency_us = latency;
-    }
-    if (auto st = wal_->append(kJournalOutcomeType, encodeOutcome(o));
+    if (auto st = wal_->append(
+            kJournalOutcomeType,
+            encodeOutcome(
+                outcomeRecord(q.req, outcome, response, latency)));
         !st.ok())
         common::warn("Fleet: outcome journal append failed: ",
                      st.toString());

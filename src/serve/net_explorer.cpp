@@ -1,73 +1,13 @@
-/** @file Link-fault exploration: scenario, sweep, bisection. */
+/** @file Link-fault exploration: the networked fleet scenario. */
 #include "serve/net_explorer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <memory>
 
 #include "common/logging.hpp"
-#include "common/rng.hpp"
-#include "data/treebank.hpp"
-#include "data/vocab.hpp"
-#include "models/tree_lstm.hpp"
-#include "serve/arrival.hpp"
-#include "serve/fleet.hpp"
-#include "vpps/handle.hpp"
 
 namespace serve {
 
 namespace {
-
-vpps::VppsOptions
-rigOpts(int host_threads)
-{
-    vpps::VppsOptions opts;
-    opts.rpw = 2;
-    opts.async = false;
-    opts.degrade_on_failure = false;
-    opts.host_threads = host_threads;
-    opts.max_relaunch_attempts = 2;
-    return opts;
-}
-
-/** One replica built from fixed seeds: every Rig in every run holds
- *  bitwise-identical parameters and dataset, which is what makes a
- *  partitioned run's completions comparable to the fault-free
- *  baseline's. */
-struct Rig
-{
-    gpusim::Device device{gpusim::DeviceSpec{}, 48u << 20};
-    common::Rng data_rng{121};
-    data::Vocab vocab{300, 10000};
-    data::Treebank bank{vocab, 8, data_rng, 7.0, 4, 10};
-    common::Rng param_rng{122};
-    std::unique_ptr<models::TreeLstmModel> bm;
-    std::unique_ptr<vpps::Handle> handle;
-
-    explicit Rig(int host_threads, bool standby = false)
-    {
-        // An inherited soak environment must not perturb the
-        // deterministic scenario.
-        unsetenv("VPPS_FAULT_RATE");
-        unsetenv("VPPS_FAULT_SEED");
-        bm = std::make_unique<models::TreeLstmModel>(
-            bank, vocab, 16, 32, device, param_rng);
-        if (!standby)
-            handle = std::make_unique<vpps::Handle>(
-                bm->model(), device, rigOpts(host_threads));
-    }
-
-    FleetReplica
-    slot(const char* name, std::size_t node)
-    {
-        FleetReplica r{name, &device, bm.get(), handle.get()};
-        r.node = node;
-        return r;
-    }
-};
 
 /** The sweep scenario's node graph: controller on node 0, replicas
  *  on 1 (fast same-rack link) and 2 (slower cross-rack link). The
@@ -96,72 +36,26 @@ netConfig(const NetExplorerConfig& cfg, gpusim::Topology topo,
     nc.controller_node = 0;
     nc.inflight_timeout_us = cfg.inflight_timeout_us;
     nc.faults.link_seed = cfg.link_seed;
-    if (down_at_us >= 0.0) {
-        gpusim::LinkFault lf;
-        lf.a = 0;
-        lf.b = 1;
-        lf.down_at_us = down_at_us;
-        lf.down_for_us = cfg.down_for_us;
-        nc.faults.link_faults.push_back(lf);
-    }
+    if (down_at_us >= 0.0)
+        nc.faults.link_faults.push_back(
+            {.a = 0, .b = 1, .down_at_us = down_at_us,
+             .down_for_us = cfg.down_for_us});
     if (cfg.loss_rate > 0.0)
-        for (std::size_t d = 1; d < nc.topology.numDevices(); ++d) {
-            gpusim::LinkFault lf;
-            lf.a = 0;
-            lf.b = d;
-            lf.loss_rate = cfg.loss_rate;
-            nc.faults.link_faults.push_back(lf);
-        }
+        for (std::size_t d = 1; d < nc.topology.numDevices(); ++d)
+            nc.faults.link_faults.push_back(
+                {.a = 0, .b = d, .loss_rate = cfg.loss_rate});
     return nc;
 }
 
 FleetConfig
 fleetConfig(const NetExplorerConfig& cfg, NetConfig nc)
 {
-    FleetConfig fc;
-    // Generous admission: every arrival must admit (and, with the
-    // effectively unbounded deadlines below, complete) so the
-    // completion set is exactly the arrival set and the bitwise
-    // comparison against the baseline is total.
-    fc.admission.queue_capacity = cfg.n_requests + 8;
-    fc.admission.shrink_watermark = cfg.n_requests + 8;
-    fc.admission.shed_watermark = cfg.n_requests + 8;
+    FleetConfig fc = rigFleetConfig(cfg.n_requests, cfg.host_threads);
     // Budgets sized for fence-and-reroute plus a residual failure.
     fc.max_failovers_high = 3;
     fc.max_failovers_low = 2;
-    fc.standby_opts = rigOpts(cfg.host_threads);
     fc.net = std::move(nc);
     return fc;
-}
-
-/** What one fleet run produced. */
-struct ScenarioRun
-{
-    std::map<std::uint64_t, std::uint32_t> responses; //!< id -> bits
-    bool duplicate_completion = false;
-    FleetCounters counters;
-    NetStats net;
-    gpusim::FaultLog link_log;
-    double end_us = 0.0;
-    bool reconciled = false;
-};
-
-ScenarioRun
-collect(const Fleet& fleet)
-{
-    ScenarioRun out;
-    out.counters = fleet.counters();
-    out.net = fleet.netStats();
-    out.link_log = fleet.net().faultLog();
-    out.end_us = fleet.nowUs();
-    out.reconciled = fleet.counters().reconciled();
-    for (const auto& [id, v] : fleet.responses()) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v, 4);
-        if (!out.responses.emplace(id, bits).second)
-            out.duplicate_completion = true;
-    }
-    return out;
 }
 
 /** Run the two-replica star scenario; @p down_at_us < 0 runs it
@@ -179,105 +73,31 @@ runScenario(const NetExplorerConfig& cfg, double down_at_us,
     return collect(fleet);
 }
 
-std::vector<Request>
-buildArrivals(const NetExplorerConfig& cfg, double req_us,
-              std::size_t dataset_size)
-{
-    ArrivalConfig ac;
-    // Mild overload of the two-replica fleet so the partition
-    // catches requests queued and in flight, not just idle gaps.
-    ac.rate_per_sec = 1.5 * 2.0e6 / req_us;
-    ac.count = cfg.n_requests;
-    // Deadlines must absorb a fence timeout plus the full down
-    // window, so they are effectively unbounded; the explorer's
-    // contract is completion-set equality, not latency.
-    ac.deadline_slack_us = 1.0e9;
-    ac.low_deadline_slack_us = 1.0e9;
-    ac.low_fraction = cfg.low_fraction;
-    ac.seed = 5;
-    return generateOpenLoopArrivals(ac, req_us, dataset_size);
-}
-
-/** Everything one sweep shares: the arrival trace and the fault-free
- *  ground truth. */
-struct Context
-{
-    NetExplorerConfig cfg;
-    std::vector<Request> arrivals;
-    ScenarioRun baseline;
-};
-
-Context
+FaultContext
 makeContext(const NetExplorerConfig& cfg)
 {
-    Context ctx;
-    ctx.cfg = cfg;
-    {
-        Rig sizing(cfg.host_threads);
-        graph::ComputationGraph cg;
-        auto loss = sizing.bm->buildLoss(cg, 0);
-        const double before = sizing.handle->stats().wall_us;
-        auto res =
-            sizing.handle->inferTry(sizing.bm->model(), cg, loss);
-        const double req_us = std::max(
-            1.0, sizing.handle->stats().wall_us - before);
-        if (!res.ok())
-            common::panic("net explorer: sizing probe failed: ",
-                          res.takeStatus().toString());
-        ctx.arrivals =
-            buildArrivals(cfg, req_us, sizing.bm->datasetSize());
-    }
+    FaultContext ctx{buildArrivals(cfg.host_threads, cfg.n_requests,
+                                   cfg.low_fraction),
+                     {}};
     ctx.baseline = runScenario(cfg, -1.0, ctx.arrivals);
     return ctx;
 }
 
-void
-compareToBaseline(const Context& ctx, const ScenarioRun& run,
-                  std::uint64_t t, std::vector<std::string>& out)
+std::string
+linkDownLabel(std::uint64_t t)
 {
-    const auto at = [&](const std::string& what) {
-        return what + " (link down at " + std::to_string(t) + "us)";
-    };
-    if (!run.reconciled)
-        out.push_back(at("counters failed to reconcile"));
-    if (run.duplicate_completion)
-        out.push_back(at("a request id completed twice"));
-    const FleetCounters& c = run.counters;
-    if (c.admitted_high != c.completed_high ||
-        c.timed_out_high != 0 || c.failed_high != 0)
-        out.push_back(at("an admitted High-class request was lost"));
-    if (run.responses.size() != ctx.baseline.responses.size())
-        out.push_back(
-            at("completion count differs from the fault-free run: " +
-               std::to_string(run.responses.size()) + " vs " +
-               std::to_string(ctx.baseline.responses.size())));
-    for (const auto& [id, bits] : ctx.baseline.responses) {
-        const auto it = run.responses.find(id);
-        if (it == run.responses.end()) {
-            out.push_back(at("request " + std::to_string(id) +
-                             " completed fault-free but not "
-                             "through the partition"));
-        } else if (it->second != bits) {
-            out.push_back(at("request " + std::to_string(id) +
-                             " response bits diverged from the "
-                             "fault-free run"));
-        }
-    }
-    for (const auto& [id, bits] : run.responses)
-        if (ctx.baseline.responses.find(id) ==
-            ctx.baseline.responses.end())
-            out.push_back(at("request " + std::to_string(id) +
-                             " completed through the partition but "
-                             "not fault-free"));
+    return "link down at " + std::to_string(t) + "us";
 }
 
 std::vector<std::string>
-checkPoint(const Context& ctx, std::uint64_t t)
+checkPoint(const NetExplorerConfig& cfg, const FaultContext& ctx,
+           std::uint64_t t)
 {
     std::vector<std::string> violations;
-    const ScenarioRun run = runScenario(
-        ctx.cfg, static_cast<double>(t), ctx.arrivals);
-    compareToBaseline(ctx, run, t, violations);
+    compareToBaseline(
+        ctx.baseline,
+        runScenario(cfg, static_cast<double>(t), ctx.arrivals),
+        linkDownLabel(t), violations);
     return violations;
 }
 
@@ -287,80 +107,26 @@ std::vector<std::string>
 checkLinkDownPoint(const NetExplorerConfig& cfg,
                    std::uint64_t down_at_us)
 {
-    return checkPoint(makeContext(cfg), down_at_us);
+    return checkPoint(cfg, makeContext(cfg), down_at_us);
 }
 
 NetExploreReport
 exploreLinkDownPoints(const NetExplorerConfig& cfg)
 {
-    const Context ctx = makeContext(cfg);
-    NetExploreReport rep;
-    rep.baseline_end_us =
+    const FaultContext ctx = makeContext(cfg);
+    const auto end_us =
         static_cast<std::uint64_t>(ctx.baseline.end_us);
-    rep.baseline_completed = ctx.baseline.counters.completed;
-
-    // Stratified sweep over [0, E]: evenly spaced down-window
-    // starts, endpoints included (a partition from the first
-    // microsecond, and one opening as the run drains).
-    const std::uint64_t E = rep.baseline_end_us;
-    std::vector<std::uint64_t> points;
-    const std::size_t budget =
-        cfg.max_points == 0
-            ? static_cast<std::size_t>(E) + 1
-            : std::min<std::size_t>(cfg.max_points,
-                                    static_cast<std::size_t>(E) + 1);
-    for (std::size_t i = 0; i < budget; ++i) {
-        const std::uint64_t k =
-            budget == 1 ? 0
-                        : (E * static_cast<std::uint64_t>(i)) /
-                              static_cast<std::uint64_t>(budget - 1);
-        if (points.empty() || points.back() != k)
-            points.push_back(k);
-    }
-
-    for (const std::uint64_t k : points) {
-        rep.points_tested.push_back(k);
-        auto v = checkPoint(ctx, k);
-        if (!v.empty())
-            rep.failures.push_back(LinkPointResult{k, std::move(v)});
-    }
-
-    if (!rep.failures.empty()) {
-        // Bisection shrink: narrow the first failure against the
-        // nearest passing instant below it.
-        std::uint64_t bad = rep.failures.front().down_at_us;
-        std::uint64_t good = 0;
-        bool have_good = false;
-        for (const std::uint64_t k : points) {
-            if (k >= bad)
-                break;
-            bool failed = false;
-            for (const auto& f : rep.failures)
-                failed = failed || f.down_at_us == k;
-            if (!failed) {
-                good = k;
-                have_good = true;
-            }
-        }
-        if (cfg.bisect && have_good) {
-            while (bad - good > 1) {
-                const std::uint64_t mid = good + (bad - good) / 2;
-                rep.points_tested.push_back(mid);
-                if (!checkPoint(ctx, mid).empty())
-                    bad = mid;
-                else
-                    good = mid;
-            }
-        }
-        rep.min_failing_at_us = bad;
-    }
-    return rep;
+    return NetExploreReport{
+        sweepFaultPoints(
+            end_us, cfg.max_points, cfg.bisect,
+            [&](std::uint64_t t) { return checkPoint(cfg, ctx, t); }),
+        end_us, ctx.baseline.counters.completed};
 }
 
 PartitionMeasurement
 measurePartition(const NetExplorerConfig& cfg, double at_fraction)
 {
-    const Context ctx = makeContext(cfg);
+    const FaultContext ctx = makeContext(cfg);
     PartitionMeasurement m;
     m.baseline_end_us =
         static_cast<std::uint64_t>(ctx.baseline.end_us);
@@ -372,16 +138,14 @@ measurePartition(const NetExplorerConfig& cfg, double at_fraction)
         cfg, static_cast<double>(m.down_at_us), ctx.arrivals);
     m.faulted_end_us = run.end_us;
     m.completed = run.counters.completed;
-    m.baseline_goodput =
-        ctx.baseline.end_us > 0.0
-            ? static_cast<double>(ctx.baseline.counters.completed) *
-                  1e6 / ctx.baseline.end_us
-            : 0.0;
-    m.faulted_goodput =
-        run.end_us > 0.0
-            ? static_cast<double>(run.counters.completed) * 1e6 /
-                  run.end_us
-            : 0.0;
+    const auto goodput = [](const ScenarioRun& r) {
+        return r.end_us > 0.0
+                   ? static_cast<double>(r.counters.completed) * 1e6 /
+                         r.end_us
+                   : 0.0;
+    };
+    m.baseline_goodput = goodput(ctx.baseline);
+    m.faulted_goodput = goodput(run);
     m.fenced = run.counters.fenced;
     m.fence_drops = run.net.fence_drops;
     m.timeouts = run.net.timeouts;
@@ -389,7 +153,8 @@ measurePartition(const NetExplorerConfig& cfg, double at_fraction)
     m.sends_blocked = run.net.sends_blocked;
     m.unreachable_skips = run.net.unreachable_skips;
     m.link_downs = run.link_log.link_downs;
-    compareToBaseline(ctx, run, m.down_at_us, m.violations);
+    compareToBaseline(ctx.baseline, run, linkDownLabel(m.down_at_us),
+                      m.violations);
     return m;
 }
 
@@ -414,18 +179,8 @@ measurePromotion(const NetExplorerConfig& cfg, bool rack_local)
     m.rack_local = rack_local;
     const std::size_t standby_node = rack_local ? 3 : 4;
 
-    Rig sizing(cfg.host_threads);
-    graph::ComputationGraph cg;
-    auto loss = sizing.bm->buildLoss(cg, 0);
-    const double before = sizing.handle->stats().wall_us;
-    auto res = sizing.handle->inferTry(sizing.bm->model(), cg, loss);
-    const double req_us =
-        std::max(1.0, sizing.handle->stats().wall_us - before);
-    if (!res.ok())
-        common::panic("net explorer: sizing probe failed: ",
-                      res.takeStatus().toString());
-    const std::vector<Request> arrivals =
-        buildArrivals(cfg, req_us, sizing.bm->datasetSize());
+    const std::vector<Request> arrivals = buildArrivals(
+        cfg.host_threads, cfg.n_requests, cfg.low_fraction);
 
     const auto run = [&](double wedge_at_us) -> ScenarioRun {
         Rig r0(cfg.host_threads), r1(cfg.host_threads);
@@ -441,27 +196,24 @@ measurePromotion(const NetExplorerConfig& cfg, bool rack_local)
                                                parseTopo(topo_text),
                                                -1.0)));
         fleet.run(arrivals);
-        ScenarioRun out = collect(fleet);
-        m.joined = m.joined ||
-                   fleet.counters().standby_joins > 0;
-        return out;
+        return collect(fleet);
     };
 
-    m.joined = false;
     const ScenarioRun baseline = run(-1.0);
-    Context ctx;
-    ctx.cfg = cfg;
-    ctx.arrivals = arrivals;
-    ctx.baseline = baseline;
-
-    m.joined = false;
-    const ScenarioRun faulted = run(0.4 * baseline.end_us);
+    const double wedge_at_us = 0.4 * baseline.end_us;
+    const ScenarioRun faulted = run(wedge_at_us);
+    m.joined = faulted.counters.standby_joins > 0;
     m.ship_bytes = faulted.net.ship_bytes;
     m.ship_chunks = faulted.net.ship_chunks;
     m.ship_retries = faulted.net.ship_retries;
     m.ship_us = faulted.net.ship_us_total;
     m.completed = faulted.counters.completed;
-    compareToBaseline(ctx, faulted, 0, m.violations);
+    compareToBaseline(
+        baseline, faulted,
+        "r0 wedged at " +
+            std::to_string(static_cast<std::uint64_t>(wedge_at_us)) +
+            "us",
+        m.violations);
     return m;
 }
 

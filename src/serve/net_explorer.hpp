@@ -22,10 +22,12 @@
  *             + lost.
  *
  * Down windows are clock-keyed (never RNG), so a fault point is a
- * plain microsecond and a violation replays exactly. Exploration is a
- * stratified sweep over [0, baseline end] (budgeted), and any
- * violation is shrunk by bisection against the nearest passing
- * instant below it.
+ * plain microsecond and a violation replays exactly. Exploration is
+ * the shared fault-point sweep (serve/fault_explorer.hpp) over
+ * [0, baseline end]: a budgeted stratified sweep whose first
+ * violation is shrunk by bisection to a minimal failing instant. The
+ * Rig, arrival trace and baseline comparison are shared with the
+ * crash explorer too.
  *
  * The same scenario machinery backs bench/partition_tolerance:
  * measurePartition() prices goodput under a mid-trace partition, and
@@ -37,6 +39,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "serve/fault_explorer.hpp"
 
 namespace serve {
 
@@ -74,34 +78,15 @@ struct NetExplorerConfig
     bool bisect = true;
 };
 
-/** One explored link-down instant that violated an invariant. */
-struct LinkPointResult
+/** The link-down sweep: points are down-window starts in
+ *  [0, baseline_end_us], whole microseconds. */
+struct NetExploreReport : FaultSweep
 {
-    std::uint64_t down_at_us = 0;
-    std::vector<std::string> violations;
-};
-
-struct NetExploreReport
-{
-    /** Simulated end of the fault-free run (sweep domain is
-     *  [0, baseline_end_us], whole microseconds). */
+    /** Simulated end of the fault-free run. */
     std::uint64_t baseline_end_us = 0;
 
     /** Completions in the fault-free run. */
     std::uint64_t baseline_completed = 0;
-
-    /** Down-window starts actually tested. */
-    std::vector<std::uint64_t> points_tested;
-
-    /** Every failing instant, in sweep order (empty = contract
-     *  holds). */
-    std::vector<LinkPointResult> failures;
-
-    /** Smallest failing instant after bisection shrink (only
-     *  meaningful when failures is non-empty). */
-    std::uint64_t min_failing_at_us = 0;
-
-    bool passed() const { return failures.empty(); }
 };
 
 /**

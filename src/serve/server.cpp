@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hpp"
 #include "durable/wal.hpp"
@@ -453,28 +452,8 @@ Server::journalAdmit(const Request& req,
 {
     if (cfg_.journal == nullptr)
         return;
-    JournalAdmit a;
-    a.id = req.id;
-    a.cls = req.cls;
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        a.decision = JournalDecision::Admit;
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        a.decision = JournalDecision::RejectQueueFull;
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        a.decision = JournalDecision::RejectInfeasible;
-        break;
-    case AdmissionController::Decision::Shed:
-        a.decision = JournalDecision::Shed;
-        break;
-    }
-    a.input_index = static_cast<std::uint64_t>(req.input_index);
-    a.arrival_us = req.arrival_us;
-    a.deadline_us = req.deadline_us;
-    if (auto st = cfg_.journal->append(kJournalAdmitType,
-                                       encodeAdmit(a));
+    if (auto st = cfg_.journal->append(
+            kJournalAdmitType, encodeAdmit(admitRecord(req, dec)));
         !st.ok())
         common::warn("Server: admit journal append failed: ",
                      st.toString());
@@ -488,16 +467,10 @@ Server::journalOutcome(const Request& req, Outcome outcome,
 {
     if (cfg_.journal == nullptr)
         return;
-    JournalOutcome o;
-    o.id = req.id;
-    o.outcome = outcome;
-    o.cls = req.cls;
-    if (outcome == Outcome::Completed) {
-        std::memcpy(&o.response_bits, &response, 4);
-        o.latency_us = latency;
-    }
-    if (auto st = cfg_.journal->append(kJournalOutcomeType,
-                                       encodeOutcome(o));
+    if (auto st = cfg_.journal->append(
+            kJournalOutcomeType,
+            encodeOutcome(outcomeRecord(req, outcome, response,
+                                        latency)));
         !st.ok())
         common::warn("Server: outcome journal append failed: ",
                      st.toString());

@@ -29,9 +29,10 @@
 #
 # A fourth pass rebuilds with gcov instrumentation (-DVPPS_COVERAGE)
 # and gates line coverage of the observability layer (src/obs), the
-# topology/collective layer (src/gpusim/topology*), and the fleet
-# network layer (src/serve/net*): each must stay >= 90% covered by
-# its suites. Uses gcovr when available, else falls back to parsing
+# topology/collective layer (src/gpusim/topology*), the fleet
+# network layer (src/serve/net*), and the shared fault-point explorer
+# (src/serve/fault_explorer*): each must stay >= 90% covered by its
+# suites. Uses gcovr when available, else falls back to parsing
 # gcov itself.
 #
 # Usage: tools/check.sh [--tier1] [build-dir]
@@ -102,12 +103,12 @@ echo "== crash-point explorer smoke (8 boundaries under ASan) =="
 echo "== net-fault soak (mid-trace partition + 10% seeded loss) =="
 "$ASAN_DIR"/bench/partition_tolerance --faults
 
-echo "== coverage gate (src/obs, src/gpusim/topology, src/serve/net >= 90%) =="
+echo "== coverage gate (src/obs, src/gpusim/topology, src/serve/net, src/serve/fault_explorer >= 90%) =="
 cmake -B "$COV_DIR" -S . -DVPPS_COVERAGE=ON \
       -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$COV_DIR" -j"$(nproc)" --target vpps_tests
 ctest --test-dir "$COV_DIR" --output-on-failure \
-      -R 'TraceUnit|GoldenTrace|MetricsUnit|MetricsReconcile|MetricsSoak|Topology|AllReduceCost|CollectiveEquivalence|CollectiveCostExtras|TopologyFuzz|DistDeterminism|PartitionTolerance|GoldenNetTrace|FleetFailover'
+      -R 'TraceUnit|GoldenTrace|MetricsUnit|MetricsReconcile|MetricsSoak|Topology|AllReduceCost|CollectiveEquivalence|CollectiveCostExtras|TopologyFuzz|DistDeterminism|PartitionTolerance|GoldenNetTrace|FleetFailover|FaultSweep|CrashRecovery'
 if command -v gcovr >/dev/null 2>&1; then
     gcovr --root . --filter 'src/obs/' --print-summary \
           --fail-under-line 90 "$COV_DIR"
@@ -115,11 +116,13 @@ if command -v gcovr >/dev/null 2>&1; then
           --fail-under-line 90 "$COV_DIR"
     gcovr --root . --filter 'src/serve/net' --print-summary \
           --fail-under-line 90 "$COV_DIR"
+    gcovr --root . --filter 'src/serve/fault_explorer' \
+          --print-summary --fail-under-line 90 "$COV_DIR"
 else
     # CMake names the data files <src>.cpp.gcda, which gcov's -o
     # lookup does not resolve; hand it the .gcda files directly.
     # One gated subtree per awk pass.
-    for subtree in obs gpusim serve; do
+    for subtree in obs gpusim serve fault_explorer; do
         case "$subtree" in
             obs) match="src/obs/"
                  files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/obs/*.cpp.gcda" ;;
@@ -127,6 +130,8 @@ else
                  files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/gpusim/topology*.cpp.gcda" ;;
             serve) match="src/serve/net"
                  files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/serve/net*.cpp.gcda" ;;
+            fault_explorer) match="src/serve/fault_explorer"
+                 files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/serve/fault_explorer*.cpp.gcda" ;;
         esac
         gcov -n $files | awk -v match_path="$match" '
         /^File / { keep = index($0, match_path) > 0 }

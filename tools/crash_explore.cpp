@@ -91,10 +91,10 @@ main(int argc, char** argv)
                 "failing event %llu\n",
                 rep.failures.size(),
                 static_cast<unsigned long long>(
-                    rep.min_failing_event));
+                    rep.min_failing_point));
     for (const auto& f : rep.failures) {
         std::printf("  event %llu:\n",
-                    static_cast<unsigned long long>(f.crash_event));
+                    static_cast<unsigned long long>(f.point));
         for (const std::string& v : f.violations)
             std::printf("    - %s\n", v.c_str());
     }
