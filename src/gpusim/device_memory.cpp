@@ -54,32 +54,38 @@ TrafficStats::merge(const TrafficStats& other)
 }
 
 DeviceMemory::DeviceMemory(std::size_t pool_floats)
-    : pool_(pool_floats, 0.0f)
+    : capacity_(pool_floats)
 {
     if (pool_floats == 0 || pool_floats > 0xFFFFFFFEull)
         common::fatal("DeviceMemory: pool size out of range: ", pool_floats);
+    // Zero-on-demand: untouched pages read as zero and stay
+    // uncommitted, so only the tensors a run touches cost host memory.
+    pool_.reset(static_cast<float*>(std::calloc(pool_floats, sizeof(float))));
+    if (!pool_)
+        common::fatal("DeviceMemory: cannot reserve ", pool_floats,
+                      " floats");
 }
 
 DeviceMemory::Offset
 DeviceMemory::allocate(std::size_t n, MemSpace space)
 {
     (void)space;
-    if (frontier_ + n > pool_.size()) {
+    if (frontier_ + n > capacity_) {
         common::fatal("DeviceMemory: pool exhausted (",
-                      frontier_ + n, " > ", pool_.size(),
+                      frontier_ + n, " > ", capacity_,
                       " floats) while allocating ", memSpaceName(space));
     }
     const Offset off = frontier_;
     frontier_ += static_cast<Offset>(n);
     if (zero_fill_)
-        std::fill(pool_.begin() + off, pool_.begin() + frontier_, 0.0f);
+        std::fill(pool_.get() + off, pool_.get() + frontier_, 0.0f);
     return off;
 }
 
 std::optional<DeviceMemory::Offset>
 DeviceMemory::tryAllocate(std::size_t n, MemSpace space)
 {
-    if (frontier_ + n > pool_.size())
+    if (frontier_ + n > capacity_)
         return std::nullopt;
     return allocate(n, space);
 }
@@ -95,17 +101,17 @@ DeviceMemory::resetTo(Offset mark)
 float*
 DeviceMemory::data(Offset off)
 {
-    if (off >= pool_.size())
+    if (off >= capacity_)
         common::panic("DeviceMemory::data: offset out of range");
-    return pool_.data() + off;
+    return pool_.get() + off;
 }
 
 const float*
 DeviceMemory::data(Offset off) const
 {
-    if (off >= pool_.size())
+    if (off >= capacity_)
         common::panic("DeviceMemory::data: offset out of range");
-    return pool_.data() + off;
+    return pool_.get() + off;
 }
 
 } // namespace gpusim

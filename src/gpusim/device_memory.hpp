@@ -8,6 +8,12 @@
  * This is what lets VPPS address tensors with 4-byte offsets in its
  * script instructions; we reproduce that addressing exactly.
  *
+ * The address space is reserved up front as in the paper, but host
+ * pages are committed on first touch: the pool is a zero-on-demand
+ * reservation (a calloc that large is served by anonymous mmap and
+ * not memset), so untouched pages read as zero and cost no resident
+ * memory. A run pays only for the pages its tensors touch.
+ *
  * Traffic accounting is tagged by memory space so the benches can
  * reproduce Fig 2 (share of DRAM loads that are weight matrices) and
  * Table I (megabytes of weights loaded).
@@ -16,8 +22,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
-#include <vector>
 
 namespace gpusim {
 
@@ -144,10 +151,16 @@ class DeviceMemory
     std::size_t used() const { return frontier_; }
 
     /** @return pool capacity in floats. */
-    std::size_t capacity() const { return pool_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
   private:
-    std::vector<float> pool_;
+    struct Free
+    {
+        void operator()(float* p) const { std::free(p); }
+    };
+
+    std::unique_ptr<float[], Free> pool_;
+    std::size_t capacity_;
     Offset frontier_ = 0;
     bool zero_fill_ = true;
 };

@@ -36,31 +36,6 @@ struct PendingAccum
     std::size_t arena_pos = 0;
 };
 
-/**
- * Per-VPP accounting sink. Workers write here with no sharing; the
- * scheduler merges sinks in VPP order, which makes every counter and
- * every float reduction independent of the worker count.
- */
-struct VppSink
-{
-    gpusim::TrafficStats traffic;
-    std::uint64_t instructions = 0;
-    std::vector<PendingAccum> pending;
-    std::vector<float> arena;
-
-    /** Reserve zero-initialized scratch for a deferred accumulation
-     *  of @p len floats onto pool offset @p target. The pointer is
-     *  only valid until the next claim. */
-    float*
-    claim(std::uint32_t target, std::uint32_t len)
-    {
-        const std::size_t pos = arena.size();
-        arena.resize(pos + len); // value-init: scratch starts at zero
-        pending.push_back({target, len, pos});
-        return arena.data() + pos;
-    }
-};
-
 /** A pool span an instruction dereferences: [offset, offset+len). */
 struct OperandSpan
 {
@@ -133,6 +108,43 @@ operandSpans(const DecodedInstr& in, const graph::Model& model,
 }
 
 } // namespace
+
+/**
+ * Per-VPP accounting sink. Workers write here with no sharing; the
+ * scheduler merges sinks in VPP order, which makes every counter and
+ * every float reduction independent of the worker count. The executor
+ * owns its sinks and clears them at the start of every run, so the
+ * scratch arena's capacity survives from batch to batch.
+ */
+struct ScriptExecutor::VppSink
+{
+    gpusim::TrafficStats traffic;
+    std::uint64_t instructions = 0;
+    std::vector<PendingAccum> pending;
+    std::vector<float> arena;
+
+    /** Reserve zero-initialized scratch for a deferred accumulation
+     *  of @p len floats onto pool offset @p target. The pointer is
+     *  only valid until the next claim. */
+    float*
+    claim(std::uint32_t target, std::uint32_t len)
+    {
+        const std::size_t pos = arena.size();
+        arena.resize(pos + len); // value-init: scratch starts at zero
+        pending.push_back({target, len, pos});
+        return arena.data() + pos;
+    }
+
+    /** Drop every counter and pending entry; keeps capacity. */
+    void
+    clear()
+    {
+        traffic.reset();
+        instructions = 0;
+        pending.clear();
+        arena.clear();
+    }
+};
 
 ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
                                ScriptCache* shared_cache)
@@ -426,7 +438,11 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     }
 
     const bool func = device_.functional();
-    std::vector<VppSink> sinks(static_cast<std::size_t>(num_vpps));
+    // Start from empty sinks: the previous run, whether it completed
+    // or failed part-way, left its counters and scratch behind.
+    sinks_.resize(static_cast<std::size_t>(num_vpps));
+    for (VppSink& sink : sinks_)
+        sink.clear();
 
     // Execute one non-sync instruction on behalf of @p vpp. Traffic
     // and instruction counts go to the VPP's private sink; per-VPP
@@ -821,7 +837,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     // elapsed makespan, so the wasted attempt shows up in simulated
     // recovery overhead exactly like a real launch-and-kill would.
     auto fail = [&](Status st) -> common::Result<RunResult> {
-        for (const VppSink& sink : sinks)
+        for (const VppSink& sink : sinks_)
             device_.traffic().merge(sink.traffic);
         KernelCost launch_only;
         launch_only.latency_hops = 0.0;
@@ -967,7 +983,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         auto run_segment = [&](std::size_t i) {
             const Segment& seg = segments[i];
             VppSink& sink =
-                sinks[static_cast<std::size_t>(seg.vpp)];
+                sinks_[static_cast<std::size_t>(seg.vpp)];
             const auto& stream =
                 prog.streams[static_cast<std::size_t>(seg.vpp)];
             const double seg_start = psim.timeOf(seg.vpp);
@@ -1000,7 +1016,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         // already sorted by VPP index.
         for (const Segment& seg : segments) {
             VppSink& sink =
-                sinks[static_cast<std::size_t>(seg.vpp)];
+                sinks_[static_cast<std::size_t>(seg.vpp)];
             for (const PendingAccum& pa : sink.pending)
                 tensor::accum(mem.data(pa.target),
                               sink.arena.data() + pa.arena_pos, pa.len);
@@ -1011,7 +1027,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
 
     // Merge per-VPP accounting in VPP order (fixed-order reduction:
     // identical totals for every thread count).
-    for (const VppSink& sink : sinks) {
+    for (const VppSink& sink : sinks_) {
         device_.traffic().merge(sink.traffic);
         result.instructions += sink.instructions;
     }
@@ -1019,7 +1035,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     // -- Epilogue: apply register-cached gradients onto the DRAM
     // master copies (store-only: both W and dW live in registers).
     if (plan.gradientsCached()) {
-        if (apply_updates)
+        if (func && apply_updates)
             for (graph::ParamId m : model.weightMatrices()) {
                 auto& p = model.param(m);
                 tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad),
@@ -1061,11 +1077,12 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             auto& p = model.param(st.matrix);
             const double r = p.shape.rows(), c = p.shape.cols();
             const double k = st.count;
-            tensor::gemmAccumABt(mem.data(p.grad),
-                                 mem.data(st.lhs_base),
-                                 mem.data(st.rhs_base), p.shape.rows(),
-                                 p.shape.cols(),
-                                 st.count);
+            if (func)
+                tensor::gemmAccumABt(mem.data(p.grad),
+                                     mem.data(st.lhs_base),
+                                     mem.data(st.rhs_base),
+                                     p.shape.rows(), p.shape.cols(),
+                                     st.count);
             KernelCost gemm;
             gemm.flops = 2.0 * r * c * k;
             gemm.dram_load_bytes = 4.0 * (r * k + c * k + r * c);
@@ -1078,7 +1095,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
         for (graph::ParamId m : model.weightMatrices()) {
             auto& p = model.param(m);
-            if (apply_updates)
+            if (func && apply_updates)
                 tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad),
                                   p.shape.size(),
                                   model.learning_rate,

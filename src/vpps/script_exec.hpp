@@ -157,6 +157,12 @@ class ScriptExecutor
      * gradients stay readable in each parameter's grad region and a
      * data-parallel driver can apply the canonical all-reduced update
      * itself. Timing is identical either way.
+     *
+     * On a timing-only device (`Device::functional()` false) no
+     * float math runs at all: the interpretation, the epilogue's
+     * updates, the staged GEMMs and the dense updates leave every
+     * parameter and gradient byte as it was, while the modeled time
+     * and DRAM traffic are charged exactly as in functional mode.
      */
     common::Result<RunResult> run(const CompiledKernel& kernel,
                                   const GeneratedBatch& batch,
@@ -165,6 +171,8 @@ class ScriptExecutor
                                   bool apply_updates = true);
 
   private:
+    struct VppSink;
+
     /**
      * Decode and statically validate @p script, or return the cached
      * decoding of an identical earlier script. Invalid scripts are
@@ -186,6 +194,8 @@ class ScriptExecutor
     gpusim::Device& device_;
     int threads_;
     std::unique_ptr<common::ThreadPool> pool_;
+    /** Per-VPP sinks, cleared (capacity kept) at every run's start. */
+    std::vector<VppSink> sinks_;
 
     /** Private cache backing `cache_` when none was shared in. */
     std::unique_ptr<ScriptCache> owned_cache_;

@@ -1,6 +1,11 @@
 /** @file Unit tests for the GPU simulator substrate. */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <optional>
+
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/faults.hpp"
@@ -49,6 +54,82 @@ TEST(DeviceMemory, ExhaustionIsFatal)
     gpusim::DeviceMemory mem(100);
     EXPECT_EXIT(mem.allocate(101, MemSpace::Weights),
                 testing::ExitedWithCode(1), "exhausted");
+}
+
+/** Resident set size in bytes from /proc/self/statm; nullopt when
+ *  /proc is absent. */
+std::optional<long long>
+residentBytes()
+{
+    std::FILE* f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr)
+        return std::nullopt;
+    long long size = 0, resident = 0;
+    const bool ok = std::fscanf(f, "%lld %lld", &size, &resident) == 2;
+    std::fclose(f);
+    if (!ok)
+        return std::nullopt;
+    return resident * static_cast<long long>(sysconf(_SC_PAGESIZE));
+}
+
+/** Sanitizer runtimes may fill or shadow large allocations, so the
+ *  resident-memory bound only holds in plain builds. */
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(DeviceMemory, PoolCommitsHostPagesOnFirstTouch)
+{
+    constexpr std::size_t kFloats = std::size_t{1} << 28; // 1 GiB
+    constexpr long long kBound = 32ll << 20;
+    const auto rss_before = residentBytes();
+    gpusim::DeviceMemory mem(kFloats);
+    auto expectSmallFootprint = [&](const char* when) {
+        const auto rss = residentBytes();
+        if (kSanitized || !rss_before || !rss)
+            return;
+        EXPECT_LT(*rss - *rss_before, kBound) << when;
+    };
+    expectSmallFootprint("after reserving the pool");
+    EXPECT_EQ(mem.capacity(), kFloats);
+
+    // Fresh allocations, and pages nothing has touched, read zero.
+    const auto a = mem.allocate(4096, MemSpace::Activations);
+    for (std::size_t i = 0; i < 4096; ++i)
+        ASSERT_EQ(mem.data(a)[i], 0.0f) << i;
+    EXPECT_EQ(mem.data(static_cast<gpusim::DeviceMemory::Offset>(
+                  kFloats - 1))[0],
+              0.0f);
+
+    // Functional mode re-zeroes a recycled region.
+    for (std::size_t i = 0; i < 4096; ++i)
+        mem.data(a)[i] = 3.5f;
+    mem.resetTo(a);
+    EXPECT_EQ(mem.allocate(4096, MemSpace::Activations), a);
+    for (std::size_t i = 0; i < 4096; ++i)
+        ASSERT_EQ(mem.data(a)[i], 0.0f) << i;
+
+    // Timing mode leaves the old contents in place.
+    mem.setZeroFill(false);
+    mem.data(a)[17] = -2.0f;
+    mem.resetTo(a);
+    mem.allocate(4096, MemSpace::Activations);
+    EXPECT_EQ(mem.data(a)[17], -2.0f);
+
+    // tryAllocate fits exactly up to capacity() and not one float past.
+    const auto mark = mem.mark();
+    const std::size_t room = kFloats - mem.used();
+    EXPECT_FALSE(mem.tryAllocate(room + 1, MemSpace::Workspace));
+    EXPECT_EQ(mem.used(), mark);
+    const auto tail = mem.tryAllocate(room, MemSpace::Workspace);
+    ASSERT_TRUE(tail.has_value());
+    EXPECT_EQ(*tail, mark);
+    EXPECT_EQ(mem.used(), kFloats);
+    EXPECT_FALSE(mem.tryAllocate(1, MemSpace::Workspace));
+    mem.resetTo(mark);
+    expectSmallFootprint("after filling the pool in timing mode");
 }
 
 TEST(TrafficStats, TracksPerSpaceAndTotals)

@@ -7,12 +7,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "data/treebank.hpp"
+#include "data/vocab.hpp"
+#include "models/tree_lstm.hpp"
+#include "train/harness.hpp"
 #include "vpps/script_cache.hpp"
 #include "vpps/script_exec.hpp"
+#include "vpps/script_gen.hpp"
 
 namespace {
 
@@ -411,5 +417,196 @@ TEST(InterpreterInPlaceOuter, TouchedGradientStaysDeferred)
                          std::vector<float>(g0.begin() + 8,
                                             g0.begin() + 12)));
 }
+
+// -- Whole training steps: a Tree-LSTM batch generated by the real
+// script generator exercises every deferred accumulation (MatVecT's
+// dx, the Accum family) and, without register-cached gradients, the
+// staged GEMMs and dense updates.
+
+/** A Tree-LSTM driven straight through the generator and executor. */
+struct TrainRig
+{
+    gpusim::Device device{gpusim::DeviceSpec{}, 32u << 20};
+    common::Rng data_rng{21};
+    data::Vocab vocab{200};
+    data::Treebank bank{vocab, 8, data_rng, 8.0, 4, 12};
+    common::Rng param_rng{22};
+    models::TreeLstmModel model{bank, vocab, 32, 48, device,
+                                param_rng};
+    gpusim::HostSpec host;
+    vpps::CompiledKernel kernel;
+    graph::ComputationGraph cg;
+
+    explicit TrainRig(bool cache_gradients = true,
+                      bool functional = true)
+    {
+        device.setFunctional(functional);
+        vpps::VppsOptions opts;
+        opts.cache_gradients = cache_gradients;
+        auto plan = vpps::DistributionPlan::buildAuto(
+            model.model(), device.spec(), opts, 2);
+        const vpps::KernelSpecializer specializer(device.spec());
+        kernel = specializer.specialize(model.model(), plan);
+    }
+};
+
+/** What one training step saw and left behind. */
+struct StepOutcome
+{
+    bool ok = false;
+    std::vector<float> before; //!< pool [0, used) entering the kernel
+    std::vector<float> pool;   //!< pool [0, used) after the step
+    vpps::RunResult result;
+    double busy_us = 0.0;
+    gpusim::TrafficStats traffic; //!< this step's DRAM traffic only
+};
+
+/**
+ * Train sentences [first, first + 4) on @p executor. A failed run
+ * rolls the pool back, as vpps::Handle does before a replay, so only
+ * the executor can carry anything into the next step. With @p stale
+ * the batch's region is filled with nonzero floats first, as a
+ * recycled region is left in timing-only mode (no zero fill).
+ */
+StepOutcome
+trainStep(TrainRig& rig, vpps::ScriptExecutor& executor,
+          std::size_t first, bool stale = false)
+{
+    auto& mem = rig.device.memory();
+    const auto mark = mem.mark();
+    rig.cg.clear();
+    const auto loss =
+        train::buildSuperGraph(rig.model, rig.cg, first, 4);
+    const vpps::ScriptGenerator gen(rig.kernel, rig.host);
+    auto batch =
+        gen.generate(rig.device, rig.model.model(), rig.cg, loss);
+    if (stale)
+        std::fill(mem.data(mark), mem.data(mark) + (mem.used() - mark),
+                  1.5f);
+    StepOutcome out;
+    out.before.assign(mem.data(0), mem.data(0) + mem.used());
+    rig.device.traffic().reset();
+    auto run =
+        executor.run(rig.kernel, batch, rig.model.model(), rig.cg);
+    out.ok = run.ok();
+    if (out.ok)
+        out.result = run.value();
+    else
+        std::memcpy(mem.data(0), out.before.data(),
+                    out.before.size() * sizeof(float));
+    out.pool.assign(mem.data(0), mem.data(0) + mem.used());
+    out.busy_us = rig.device.busyUs();
+    out.traffic = rig.device.traffic();
+    mem.resetTo(mark);
+    return out;
+}
+
+/** Simulated results and traffic must match exactly. */
+void
+expectSameCost(const StepOutcome& a, const StepOutcome& b)
+{
+    EXPECT_EQ(a.result.kernel_us, b.result.kernel_us);
+    EXPECT_EQ(a.result.extra_kernel_us, b.result.extra_kernel_us);
+    EXPECT_EQ(a.result.makespan_us, b.result.makespan_us);
+    EXPECT_EQ(a.result.mean_vpp_us, b.result.mean_vpp_us);
+    EXPECT_EQ(a.result.instructions, b.result.instructions);
+    for (std::size_t i = 0; i < gpusim::TrafficStats::kNumSpaces; ++i) {
+        const auto space = static_cast<gpusim::MemSpace>(i);
+        EXPECT_EQ(a.traffic.loadBytes(space), b.traffic.loadBytes(space))
+            << gpusim::memSpaceName(space);
+        EXPECT_EQ(a.traffic.storeBytes(space),
+                  b.traffic.storeBytes(space))
+            << gpusim::memSpaceName(space);
+    }
+    EXPECT_EQ(a.traffic.atomicOps(), b.traffic.atomicOps());
+}
+
+/** Parameters, loss, simulated time and traffic are bitwise equal. */
+void
+expectSameStep(const StepOutcome& a, const StepOutcome& b)
+{
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    EXPECT_TRUE(sameBits(a.pool, b.pool));
+    EXPECT_EQ(std::memcmp(&a.result.loss, &b.result.loss, sizeof(float)),
+              0);
+    expectSameCost(a, b);
+}
+
+class InterpreterScratchReuse : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(InterpreterScratchReuse, SecondBatchMatchesAFreshExecutor)
+{
+    TrainRig reused_rig, fresh_rig;
+    vpps::ScriptExecutor reused(reused_rig.device, GetParam());
+    ASSERT_TRUE(trainStep(reused_rig, reused, 0).ok);
+    const StepOutcome second = trainStep(reused_rig, reused, 4);
+
+    {
+        vpps::ScriptExecutor first(fresh_rig.device, GetParam());
+        ASSERT_TRUE(trainStep(fresh_rig, first, 0).ok);
+    }
+    vpps::ScriptExecutor fresh(fresh_rig.device, GetParam());
+    const StepOutcome baseline = trainStep(fresh_rig, fresh, 4);
+    expectSameStep(second, baseline);
+    EXPECT_EQ(second.busy_us, baseline.busy_us);
+}
+
+TEST_P(InterpreterScratchReuse, RunAfterAFailedRunMatchesAFreshExecutor)
+{
+    // The hung run stops part-way with its sinks holding that run's
+    // traffic, instruction counts and scratch; none of it may reach
+    // the replay.
+    TrainRig hung_rig, fresh_rig;
+    vpps::ScriptExecutor executor(hung_rig.device, GetParam());
+    gpusim::FaultPlan plan;
+    plan.hang_rate = 1.0;
+    hung_rig.device.installFaults(plan);
+    const StepOutcome hung = trainStep(hung_rig, executor, 0);
+    ASSERT_FALSE(hung.ok);
+    EXPECT_GT(hung.traffic.totalLoadBytes(), 0.0);
+    hung_rig.device.clearFaults();
+    const StepOutcome replay = trainStep(hung_rig, executor, 0);
+
+    vpps::ScriptExecutor fresh(fresh_rig.device, GetParam());
+    expectSameStep(replay, trainStep(fresh_rig, fresh, 0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, InterpreterScratchReuse,
+                         testing::Values(1, 8));
+
+class InterpreterTimingOnly : public testing::TestWithParam<bool>
+{
+};
+
+TEST_P(InterpreterTimingOnly, StepWritesNothingAndCostsTheSame)
+{
+    TrainRig timing(GetParam(), false), functional(GetParam(), true);
+    for (TrainRig* rig : {&timing, &functional}) {
+        rig->model.model().learning_rate = 0.25f;
+        rig->model.model().weight_decay = 0.125f;
+    }
+    ASSERT_EQ(timing.kernel.plan.gradientsCached(), GetParam());
+    vpps::ScriptExecutor timing_exec(timing.device, 1);
+    vpps::ScriptExecutor functional_exec(functional.device, 1);
+    const StepOutcome t = trainStep(timing, timing_exec, 0, true);
+    const StepOutcome f = trainStep(functional, functional_exec, 0);
+    ASSERT_TRUE(t.ok);
+    ASSERT_TRUE(f.ok);
+    EXPECT_TRUE(sameBits(t.before, t.pool))
+        << "a timing-only step changed parameter or gradient bytes";
+    EXPECT_FALSE(sameBits(f.before, f.pool))
+        << "the functional step must train, or the check is vacuous";
+    expectSameCost(t, f);
+    EXPECT_EQ(t.busy_us, f.busy_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GradientCaching, InterpreterTimingOnly, testing::Bool(),
+    [](const testing::TestParamInfo<bool>& info) {
+        return info.param ? "cached" : "uncached";
+    });
 
 } // namespace
